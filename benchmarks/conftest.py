@@ -9,8 +9,8 @@ printed at the end of the session so ``pytest benchmarks/
 Observability is enabled for the whole benchmark session in
 metrics-only mode (``capture_events=False`` keeps the per-kernel
 simulator timelines out of memory), so every bench run ends with the
-run-report summary — evaluator cache hit-rate, prune rate, and the
-model-predict latency histogram — alongside the reproduction tables.
+run-report summary — evaluator cache hit-rate, infeasible rate, and
+the model-predict latency histogram — alongside the reproduction tables.
 Set ``REPRO_BENCH_NO_OBS=1`` to time the bare no-op path instead.
 """
 
@@ -45,7 +45,7 @@ class CounterDelta:
     ``mark()`` pins the reference point; ``delta()`` returns each
     counter's increase since the mark, and ``rate(num, den)`` the
     ratio of two deltas — how benches report engine rates (cache hits,
-    prunes) for just their own work.
+    infeasible candidates) for just their own work.
     """
 
     def __init__(self):

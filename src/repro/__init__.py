@@ -87,7 +87,6 @@ from repro.dse import (
     CandidateEvaluator,
     DSEResult,
     EvaluationStats,
-    Optimizer,
     optimize_baseline,
     optimize_full,
     optimize_heterogeneous,
@@ -162,7 +161,6 @@ __all__ = [
     "CandidateEvaluator",
     "DSEResult",
     "EvaluationStats",
-    "Optimizer",
     "optimize_baseline",
     "optimize_full",
     "optimize_pipe_shared",

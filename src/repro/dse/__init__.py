@@ -14,7 +14,6 @@ from repro.dse.evaluator import (
     EvaluationStats,
 )
 from repro.dse.optimizer import (
-    Optimizer,
     baseline_candidates,
     full_space_candidates,
     optimize_baseline,
@@ -46,7 +45,6 @@ __all__ = [
     "DSEResult",
     "EvaluatedDesign",
     "EvaluationStats",
-    "Optimizer",
     "baseline_candidates",
     "full_space_candidates",
     "SCREEN_MODES",

@@ -5,29 +5,25 @@ analytical model making exhaustive enumeration cheap.  This module is
 the single path from a candidate :class:`StencilDesign` to its scored
 :class:`EvaluatedDesign`, shared by the ``optimize_*`` entry points,
 the sensitivity sweeps, the Pareto utilities, the experiment CLI, and
-the benchmarks.  It adds three things the per-caller loops never had:
+the benchmarks.  Every entry point runs the same four steps:
 
-- **Memoization** — model and resource-estimator results are cached
-  under the design's canonical signature
-  (:meth:`~repro.tiling.design.StencilDesign.signature`); designs recur
-  across the baseline/pipe-shared/heterogeneous sweeps and across
-  repeated experiment runs, and equal signatures guarantee equal
-  results.
-- **Parallel batches** — candidates evaluate concurrently on a
-  :mod:`concurrent.futures` thread pool with a deterministic-ordering
-  guarantee (results are always assembled in candidate order) and a
-  serial fallback (``max_workers=None``).
-- **Admissible pruning** — before the full model runs, a candidate is
-  rejected on resource infeasibility, and optionally on a compute-only
-  latency lower bound: if even its useful computation alone exceeds the
-  best fully-evaluated latency so far, the candidate cannot win.  The
-  bound never exceeds the true prediction, so pruning never discards
-  the optimum.
-- **Persistent warm starts** — with a
-  :class:`~repro.store.backing.BackingStore` attached, a memo miss
-  consults the store before running the model, and every fresh
-  evaluation is written through, so results survive the process and
-  warm-start the next run (see ``docs/STORE.md``).
+1. **Memo** — results are cached under the design's canonical
+   signature (:meth:`~repro.tiling.design.StencilDesign.signature`);
+   designs recur across the baseline/pipe-shared/heterogeneous sweeps
+   and across repeated experiment runs, and equal signatures guarantee
+   equal results.  It is the engine's only cache, optionally
+   LRU-bounded.
+2. **Store** — with a :class:`~repro.store.backing.BackingStore`
+   attached, a memo miss consults the store, so results survive the
+   process and warm-start the next run (see ``docs/STORE.md``).
+3. **Batch scoring** — the designs neither can answer are scored in
+   one pass of the vectorized model and resource estimator
+   (:func:`~repro.model.batch.predict_batch`,
+   :func:`~repro.fpga.batch.estimate_batch`), whose numbers equal the
+   scalar Eq. 1-11 model's bitwise.  A batch holding a design outside
+   their exact-parity range is scored by the scalar model instead.
+4. **Epilogue** — each candidate gets the budget check, its counters
+   and trace event, and write-through of fresh results to the store.
 
 Every run emits an :class:`EvaluationStats` record and can stream
 per-candidate :class:`CandidateTrace` events to an observer hook.
@@ -39,12 +35,10 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.obs import trace as obs_trace
 from repro.dse.constraints import ResourceBudget
 from repro.errors import DesignSpaceError
 from repro.fpga.batch import estimate_batch
@@ -57,10 +51,13 @@ from repro.model.batch import (
 )
 from repro.model.predictor import Fidelity, PerformanceModel
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
-from repro.store.backing import BackingStore, evaluation_context
+from repro.store.backing import BackingStore, StoredResult, evaluation_context
 from repro.tiling.design import StencilDesign
 
 _log = obs.get_logger("dse")
+
+#: Store answer for a design the store does not hold.
+_NOT_STORED = StoredResult()
 
 
 @dataclass(frozen=True)
@@ -103,8 +100,6 @@ class EvaluationStats:
         store_hits: designs whose prediction was answered by the
             persistent backing store (no model evaluation ran).
         infeasible: designs rejected by the resource-budget check.
-        pruned: designs rejected by the latency lower bound (their full
-            model evaluation was skipped).
         screened: designs rejected by the tiered search's vectorized
             Tier-0 screen (never reached exact scoring).
         promoted: designs the Tier-0 screen passed through to Tier-1
@@ -117,7 +112,6 @@ class EvaluationStats:
     cache_hits: int = 0
     store_hits: int = 0
     infeasible: int = 0
-    pruned: int = 0
     screened: int = 0
     promoted: int = 0
     wall_time_s: float = 0.0
@@ -129,7 +123,6 @@ class EvaluationStats:
         self.cache_hits += other.cache_hits
         self.store_hits += other.store_hits
         self.infeasible += other.infeasible
-        self.pruned += other.pruned
         self.screened += other.screened
         self.promoted += other.promoted
         self.wall_time_s += other.wall_time_s
@@ -142,7 +135,6 @@ class EvaluationStats:
             "cache_hits": self.cache_hits,
             "store_hits": self.store_hits,
             "infeasible": self.infeasible,
-            "pruned": self.pruned,
             "screened": self.screened,
             "promoted": self.promoted,
             "wall_time_s": self.wall_time_s,
@@ -158,7 +150,7 @@ class EvaluationStats:
         return (
             f"{self.candidates} candidates: {self.evaluated} evaluated, "
             f"{self.cache_hits} cache hits, {self.store_hits} store hits, "
-            f"{self.pruned} pruned, {tiered}"
+            f"{tiered}"
             f"{self.infeasible} infeasible, {self.wall_time_s:.2f}s"
         )
 
@@ -169,50 +161,44 @@ class CandidateTrace:
 
     Attributes:
         design: the candidate.
-        outcome: ``"evaluated"``, ``"cache-hit"``, ``"store-hit"``,
-            ``"infeasible"`` or ``"pruned"``.
+        outcome: ``"evaluated"``, ``"cache-hit"``, ``"store-hit"`` or
+            ``"infeasible"``.
         predicted_cycles: model prediction when one was produced.
-        lower_bound: the admissible bound, when pruning is active.
         seq: monotonic per-evaluator sequence id, assigned under the
-            engine lock at emit time — even when the thread pool
-            delivers events concurrently, sorting by ``seq`` recovers a
-            deterministic total order.
+            engine lock at emit time — when several threads share one
+            engine, sorting by ``seq`` recovers a total order.
     """
 
     design: StencilDesign
     outcome: str
     predicted_cycles: Optional[float] = None
-    lower_bound: Optional[float] = None
     seq: int = -1
 
 
 TraceHook = Callable[[CandidateTrace], None]
 
-#: Smallest batch worth routing through the vectorized engine when
-#: ``vectorize`` is left on auto (a single candidate gains nothing).
-_VECTOR_MIN_BATCH = 2
+
+def _fits(resources: DesignResources, budget: Optional[ResourceBudget]) -> bool:
+    return budget is None or resources.total.fits_within(budget.limit)
 
 
 class CandidateEvaluator:
-    """Cached, parallel, prunable scorer for candidate designs.
+    """Memoized, store-backed, batch-scoring engine for candidate designs.
 
     One evaluator is bound to a board, a model fidelity, and an
     estimator pair (the performance model and the resource estimator
     share one FlexCL pipeline analyzer so its reports are computed once
-    per pattern).  All caches live for the evaluator's lifetime, so
-    sharing one instance across sweeps shares their work.
+    per pattern).  The memo lives for the evaluator's lifetime, so
+    sharing one instance across sweeps shares its work; one instance
+    may be shared by several threads.
 
     Args:
         board: platform the model evaluates against.
         fidelity: analytical-model variant.
-        estimator: resource estimator (one is built when omitted).
-        model: performance model (one is built when omitted).
-        max_workers: thread-pool width for batch evaluation; ``None``,
-            0, or 1 selects the serial path.
-        prune: enable the compute-only lower-bound pruning in
-            :meth:`explore`.  Pruned candidates are guaranteed slower
-            than the returned best but are absent from
-            ``DSEResult.candidates``.
+        estimator: scalar resource estimator (one is built when
+            omitted); scores batches the vectorized engine cannot.
+        model: scalar performance model (one is built when omitted);
+            same role.
         trace: optional per-candidate observer hook.
         store: optional persistent backing store — consulted on every
             memo miss, written through on every fresh evaluation.
@@ -225,14 +211,6 @@ class CandidateEvaluator:
             bound (an evicted design re-evaluates — or, with a store
             attached, reloads — on its next appearance).  ``None``
             keeps the memo unbounded.
-        vectorize: batch-scoring mode.  ``None`` (default) routes
-            batches of two or more candidates through the NumPy batch
-            engine (:mod:`repro.model.batch` / :mod:`repro.fpga.batch`)
-            whenever pruning is off; ``True`` forces it for any
-            non-empty batch; ``False`` disables it.  The vectorized
-            path returns bitwise-identical results, stats, and traces —
-            candidates out of the batch engine's exact-parity range
-            fall back to the scalar path automatically.
     """
 
     def __init__(
@@ -241,12 +219,9 @@ class CandidateEvaluator:
         fidelity: Fidelity = Fidelity.REFINED,
         estimator: Optional[ResourceEstimator] = None,
         model: Optional[PerformanceModel] = None,
-        max_workers: Optional[int] = None,
-        prune: bool = False,
         trace: Optional[TraceHook] = None,
         store: Optional[BackingStore] = None,
         max_memo_entries: Optional[int] = None,
-        vectorize: Optional[bool] = None,
     ):
         if estimator is None:
             flexcl = model.estimator if model is not None else FlexCLEstimator()
@@ -261,12 +236,9 @@ class CandidateEvaluator:
         self.fidelity = model.fidelity
         self.estimator = estimator
         self.model = model
-        self.max_workers = max_workers
-        self.prune = prune
         self.trace = trace
         self.store = store
         self.max_memo_entries = max_memo_entries
-        self.vectorize = vectorize
         self.store_context = (
             evaluation_context(board, self.fidelity, estimator.flexcl)
             if store is not None
@@ -275,19 +247,12 @@ class CandidateEvaluator:
         #: Lifetime aggregate over every evaluate/explore call.
         self.stats = EvaluationStats()
         self._results: "OrderedDict[Tuple, EvaluatedDesign]" = OrderedDict()
-        self._predicted: "OrderedDict[Tuple, None]" = OrderedDict()
         self._lock = threading.Lock()
         self._emit_seq = 0
 
-    # -- cached primitives -----------------------------------------------------
-
-    def resources(self, design: StencilDesign) -> DesignResources:
-        """Signature-cached resource estimate."""
-        return self.estimator.estimate(design)
-
     # -- store + memo plumbing -------------------------------------------------
 
-    def _store_lookup(self, design: StencilDesign):
+    def _store_lookup(self, design: StencilDesign) -> Optional[StoredResult]:
         """Consult the backing store; ``None`` without one (or on miss)."""
         if self.store is None:
             return None
@@ -318,9 +283,9 @@ class CandidateEvaluator:
     ) -> EvaluatedDesign:
         """LRU-aware memo insert (call under ``self._lock``).
 
-        Returns the canonical result object for the signature: a
-        concurrent writer may have won the race, in which case its
-        object is kept (same signature → same values).
+        Returns the canonical result object for the signature: another
+        thread may have stored one first, in which case its object is
+        kept (same signature → same values).
         """
         existing = self._results.get(sig)
         if existing is not None:
@@ -333,56 +298,181 @@ class CandidateEvaluator:
             self._results.popitem(last=False)
         return result
 
-    def predict_cycles(self, design: StencilDesign) -> float:
-        """Signature-cached model prediction (total cycles).
+    # -- the scoring path ------------------------------------------------------
 
-        Resolution order on a memo miss: the persistent store (when
-        attached), then the model — with the fresh prediction written
-        through to the store.
+    def _score(
+        self, designs: Sequence[StencilDesign]
+    ) -> List[Tuple[float, DesignResources]]:
+        """Exact ``(total_cycles, resources)`` per design, in order.
+
+        One pass of the vectorized engines; when any design is outside
+        their exact-parity range (:class:`BatchRangeError`), the scalar
+        model and estimator score the batch instead — same numbers,
+        bitwise.  Touches no memo, store, stats or trace.
         """
+        if not designs:
+            return []
+        try:
+            resources = estimate_batch(designs, flexcl=self.estimator.flexcl)
+            prediction = predict_batch(
+                designs,
+                board=self.board,
+                fidelity=self.fidelity,
+                flexcl=self.model.estimator,
+            )
+        except BatchRangeError:
+            return [
+                (self.model.predict_cycles(d), self.estimator.estimate(d))
+                for d in designs
+            ]
+        cycles = prediction.total.tolist()
+        return [
+            (cycles[i], resources.design_resources(i))
+            for i in range(len(designs))
+        ]
+
+    def _run_batch(
+        self,
+        candidates: Sequence[StencilDesign],
+        budget: Optional[ResourceBudget],
+        stats: EvaluationStats,
+    ) -> List[Optional[EvaluatedDesign]]:
+        """Memo, then store, then one :meth:`_score` call, then epilogue.
+
+        Each distinct signature is resolved once, up front; the memo
+        answers captured here stay valid for the whole batch even if
+        the LRU bound evicts them meanwhile.  ``budget=None`` skips the
+        budget check (the :meth:`predict_cycles` / :meth:`resources`
+        lookups).
+        """
+        known: Dict[Tuple, EvaluatedDesign] = {}
+        stored: Dict[Tuple, Optional[StoredResult]] = {}
+        fresh: Dict[Tuple, StencilDesign] = {}
+        for design in candidates:
+            sig = design.signature()
+            if sig in known or sig in stored:
+                continue
+            with self._lock:
+                cached = self._memo_get(sig)
+            if cached is not None:
+                known[sig] = cached
+                continue
+            entry = stored[sig] = self._store_lookup(design)
+            if entry is None or not entry.complete:
+                fresh[sig] = design
+        scored = dict(zip(fresh, self._score(list(fresh.values()))))
+        return [
+            self._finish(design, budget, stats, known, stored, scored)
+            for design in candidates
+        ]
+
+    def _finish(
+        self,
+        design: StencilDesign,
+        budget: Optional[ResourceBudget],
+        stats: EvaluationStats,
+        known: Dict[Tuple, EvaluatedDesign],
+        stored: Dict[Tuple, Optional[StoredResult]],
+        scored: Dict[Tuple, Tuple[float, DesignResources]],
+    ) -> Optional[EvaluatedDesign]:
+        """Per-candidate epilogue: budget check, stats, trace, store.
+
+        A fresh result that fails the budget is written through
+        (resources only) but not memoized; every other result enters
+        the memo, and ``known``, so repeats later in the batch are
+        cache hits.
+        """
+        stats.candidates += 1
         sig = design.signature()
+        result = known.get(sig)
+        if result is not None:
+            stats.cache_hits += 1
+            return self._admit(design, result, "cache-hit", budget, stats)
+        entry = stored.get(sig) or _NOT_STORED
+        if entry.complete:
+            stats.store_hits += 1
+            result = self._remember(
+                sig, EvaluatedDesign(design, entry.cycles, entry.resources),
+                known,
+            )
+            return self._admit(design, result, "store-hit", budget, stats)
+        cycles, resources = scored[sig]
+        new_resources = entry.resources is None
+        if not new_resources:
+            resources = entry.resources
+        if not _fits(resources, budget):
+            stats.infeasible += 1
+            if new_resources:
+                self._store_record(design, resources=resources)
+            self._emit(CandidateTrace(design, "infeasible"))
+            return None
+        if entry.cycles is None:
+            stats.evaluated += 1
+            self._store_record(design, cycles=cycles, resources=resources)
+        else:
+            cycles = entry.cycles
+            stats.store_hits += 1
+            if new_resources:
+                self._store_record(design, resources=resources)
+        result = self._remember(
+            sig, EvaluatedDesign(design, cycles, resources), known
+        )
+        self._emit(CandidateTrace(design, "evaluated", cycles))
+        return result
+
+    def _remember(
+        self,
+        sig: Tuple,
+        result: EvaluatedDesign,
+        known: Dict[Tuple, EvaluatedDesign],
+    ) -> EvaluatedDesign:
         with self._lock:
-            hit = sig in self._predicted
-            if hit and self.max_memo_entries is not None:
-                self._predicted.move_to_end(sig)
-        cycles: Optional[float] = None
-        store_hit = False
-        if not hit:
-            stored = self._store_lookup(design)
-            if stored is not None and stored.cycles is not None:
-                cycles = stored.cycles
-                store_hit = True
-        if cycles is None:
-            cycles = self.model.predict_cycles_cached(design)
+            result = self._memo_put(sig, result)
+        known[sig] = result
+        return result
+
+    def _admit(
+        self,
+        design: StencilDesign,
+        result: EvaluatedDesign,
+        outcome: str,
+        budget: Optional[ResourceBudget],
+        stats: EvaluationStats,
+    ) -> Optional[EvaluatedDesign]:
+        """Budget check and trace event for a memo or store answer."""
+        if not _fits(result.resources, budget):
+            stats.infeasible += 1
+            self._emit(CandidateTrace(design, "infeasible"))
+            return None
+        self._emit(CandidateTrace(design, outcome, result.predicted_cycles))
+        return result
+
+    def _emit(self, event: CandidateTrace) -> None:
+        if self.trace is None:
+            return
         with self._lock:
-            if not store_hit:
-                # A store-served prediction never reaches the model's
-                # own cache, so only model-backed signatures may short-
-                # circuit future calls through ``_predicted``.
-                self._predicted[sig] = None
-                if (
-                    self.max_memo_entries is not None
-                    and len(self._predicted) > self.max_memo_entries
-                ):
-                    self._predicted.popitem(last=False)
-            self.stats.candidates += 1
-            if hit:
-                self.stats.cache_hits += 1
-            elif store_hit:
-                self.stats.store_hits += 1
-            else:
-                self.stats.evaluated += 1
-        if obs.enabled():
-            obs.inc("dse.candidates")
-            if hit:
-                obs.inc("dse.cache_hits")
-            elif store_hit:
-                obs.inc("dse.store_hits")
-            else:
-                obs.inc("dse.evaluated")
-        if not hit and not store_hit:
-            self._store_record(design, cycles=cycles)
-        return cycles
+            seq = self._emit_seq
+            self._emit_seq += 1
+        self.trace(replace(event, seq=seq))
+
+    # -- single-design lookups -------------------------------------------------
+
+    def _lookup(self, design: StencilDesign) -> EvaluatedDesign:
+        """One design through the scoring path, with no budget."""
+        stats = EvaluationStats()
+        start = time.perf_counter()
+        [result] = self._run_batch([design], None, stats)
+        stats.wall_time_s = time.perf_counter() - start
+        self.absorb_stats(stats)
+        return result
+
+    def predict_cycles(self, design: StencilDesign) -> float:
+        """Model prediction (total cycles): memo, store, then the model."""
+        return self._lookup(design).predicted_cycles
+
+    def resources(self, design: StencilDesign) -> DesignResources:
+        """Resource estimate: memo, store, then the estimator."""
+        return self._lookup(design).resources
 
     def lower_bound(self, design: StencilDesign) -> float:
         """Admissible compute-only latency lower bound (cycles).
@@ -428,121 +518,10 @@ class CandidateEvaluator:
         stats = EvaluationStats()
         start = time.perf_counter()
         with obs.span("dse.evaluate", budget=budget.label):
-            result = self._evaluate_one(
-                design, budget, stats, incumbent=None
-            )
+            [result] = self._run_batch([design], budget, stats)
         stats.wall_time_s = time.perf_counter() - start
-        self._absorb(stats)
+        self.absorb_stats(stats)
         return result
-
-    def _evaluate_one(
-        self,
-        design: StencilDesign,
-        budget: ResourceBudget,
-        stats: EvaluationStats,
-        incumbent: Optional[List[float]],
-        bound: Optional[float] = None,
-    ) -> Optional[EvaluatedDesign]:
-        """Evaluate one candidate, updating ``stats`` and ``incumbent``.
-
-        ``incumbent`` is a shared single-element list holding the best
-        fully-evaluated feasible latency so far (guarded by
-        ``self._lock``); ``bound`` is the precomputed lower bound, when
-        pruning is active.  ``stats`` may be shared across pool
-        threads: the candidate's counters are tallied locally and
-        merged in under the engine lock.
-        """
-        delta = EvaluationStats()
-        try:
-            return self._evaluate_one_unsynced(
-                design, budget, delta, incumbent, bound
-            )
-        finally:
-            with self._lock:
-                stats.merge(delta)
-
-    def _evaluate_one_unsynced(
-        self,
-        design: StencilDesign,
-        budget: ResourceBudget,
-        stats: EvaluationStats,
-        incumbent: Optional[List[float]],
-        bound: Optional[float],
-    ) -> Optional[EvaluatedDesign]:
-        stats.candidates += 1
-        sig = design.signature()
-        with self._lock:
-            cached = self._memo_get(sig)
-        if cached is not None:
-            stats.cache_hits += 1
-            if not cached.resources.total.fits_within(budget.limit):
-                stats.infeasible += 1
-                self._emit(CandidateTrace(design, "infeasible"))
-                return None
-            self._note_incumbent(incumbent, cached.predicted_cycles)
-            self._emit(
-                CandidateTrace(design, "cache-hit", cached.predicted_cycles)
-            )
-            return cached
-        stored = self._store_lookup(design)
-        if stored is not None and stored.complete:
-            result = EvaluatedDesign(
-                design, stored.cycles, stored.resources
-            )
-            with self._lock:
-                result = self._memo_put(sig, result)
-            stats.store_hits += 1
-            if not result.resources.total.fits_within(budget.limit):
-                stats.infeasible += 1
-                self._emit(CandidateTrace(design, "infeasible"))
-                return None
-            self._note_incumbent(incumbent, result.predicted_cycles)
-            self._emit(
-                CandidateTrace(design, "store-hit", result.predicted_cycles)
-            )
-            return result
-        if stored is not None and stored.resources is not None:
-            resources = stored.resources
-            fresh_resources = False
-        else:
-            resources = self.resources(design)
-            fresh_resources = True
-        if not resources.total.fits_within(budget.limit):
-            stats.infeasible += 1
-            if fresh_resources:
-                self._store_record(design, resources=resources)
-            self._emit(CandidateTrace(design, "infeasible"))
-            return None
-        if bound is not None and incumbent is not None:
-            with self._lock:
-                best = incumbent[0]
-            if best is not None and bound >= best:
-                stats.pruned += 1
-                if fresh_resources:
-                    self._store_record(design, resources=resources)
-                self._emit(
-                    CandidateTrace(design, "pruned", lower_bound=bound)
-                )
-                return None
-        if stored is not None and stored.cycles is not None:
-            cycles = stored.cycles
-            stats.store_hits += 1
-            if fresh_resources:
-                self._store_record(design, resources=resources)
-        else:
-            cycles = self.model.predict_cycles_cached(design)
-            stats.evaluated += 1
-            self._store_record(design, cycles=cycles, resources=resources)
-        result = EvaluatedDesign(design, cycles, resources)
-        with self._lock:
-            result = self._memo_put(sig, result)
-        self._note_incumbent(incumbent, cycles)
-        self._emit(CandidateTrace(design, "evaluated", cycles, bound))
-        return result
-
-    def _absorb(self, delta: EvaluationStats) -> None:
-        """Fold a batch's counters into the lifetime stats and metrics."""
-        self.absorb_stats(delta)
 
     def absorb_stats(
         self, delta: EvaluationStats, publish: bool = True
@@ -568,195 +547,10 @@ class CandidateEvaluator:
             obs.inc("dse.cache_hits", delta.cache_hits)
             obs.inc("dse.store_hits", delta.store_hits)
             obs.inc("dse.infeasible", delta.infeasible)
-            obs.inc("dse.pruned", delta.pruned)
             obs.inc("search.screened", delta.screened)
             obs.inc("search.promoted", delta.promoted)
             obs.observe("dse.batch_wall_s", delta.wall_time_s)
             obs.set_gauge("dse.cache_size", self.cache_size())
-
-    def _note_incumbent(
-        self, incumbent: Optional[List[float]], cycles: float
-    ) -> None:
-        if incumbent is None:
-            return
-        with self._lock:
-            if incumbent[0] is None or cycles < incumbent[0]:
-                incumbent[0] = cycles
-
-    def _emit(self, event: CandidateTrace) -> None:
-        if self.trace is None:
-            return
-        with self._lock:
-            seq = self._emit_seq
-            self._emit_seq += 1
-        self.trace(replace(event, seq=seq))
-
-    # -- vectorized fast path --------------------------------------------------
-
-    def _vector_eligible(self, count: int) -> bool:
-        """Whether a batch of ``count`` candidates may use the fast path.
-
-        Pruning needs per-candidate incumbent interleaving, which batch
-        scoring cannot honor, so pruned engines always take the scalar
-        path.
-        """
-        if self.prune or self.vectorize is False:
-            return False
-        if self.vectorize is True:
-            return count > 0
-        return count >= _VECTOR_MIN_BATCH
-
-    def _score_vectorized(
-        self, items: Sequence[Tuple[Tuple, StencilDesign]]
-    ) -> Optional[Dict[Tuple, Tuple[float, DesignResources]]]:
-        """Batch-score fresh designs; ``None`` -> fall back to scalar.
-
-        Runs the vectorized model and resource estimator over every
-        design that neither the memo nor the store can answer, primes
-        the scalar caches with the (bitwise-identical) results, and
-        returns ``{signature: (total_cycles, resources)}``.
-        """
-        scored: Dict[Tuple, Tuple[float, DesignResources]] = {}
-        if not items:
-            return scored
-        designs = [design for _sig, design in items]
-        try:
-            resources = estimate_batch(designs, flexcl=self.estimator.flexcl)
-            prediction = predict_batch(
-                designs,
-                board=self.board,
-                fidelity=self.fidelity,
-                flexcl=self.model.estimator,
-            )
-        except BatchRangeError:
-            return None
-        for i, (sig, design) in enumerate(items):
-            breakdown = self.model.prime(design, prediction.breakdown(i))
-            res = self.estimator.prime(
-                design, resources.design_resources(i)
-            )
-            scored[sig] = (breakdown.total, res)
-        return scored
-
-    def _run_batch_vectorized(
-        self,
-        candidates: Sequence[StencilDesign],
-        budget: ResourceBudget,
-        stats: EvaluationStats,
-    ) -> Optional[List[Optional[EvaluatedDesign]]]:
-        """Vectorized ``_run_batch`` body; ``None`` -> use the scalar path.
-
-        Scoring is hoisted: one batched model/estimator pass covers
-        every design the memo and store cannot answer, then each
-        candidate walks the exact per-candidate memo/store/budget
-        sequence of :meth:`_evaluate_one_unsynced`, preserving stats,
-        traces, and store write-through byte for byte.
-        """
-        stored_entries: Dict[Tuple, object] = {}
-        fresh: "OrderedDict[Tuple, StencilDesign]" = OrderedDict()
-        with self._lock:
-            known = set(self._results)
-        for design in candidates:
-            sig = design.signature()
-            if sig in known or sig in fresh:
-                continue
-            if sig not in stored_entries:
-                stored_entries[sig] = self._store_lookup(design)
-            entry = stored_entries[sig]
-            if entry is not None and entry.complete:
-                continue
-            fresh[sig] = design
-        scored = self._score_vectorized(list(fresh.items()))
-        if scored is None:
-            return None
-        local = EvaluationStats()
-        recorded: set = set()
-        results = [
-            self._finish_one_vectorized(
-                design, budget, local, stored_entries, scored, recorded
-            )
-            for design in candidates
-        ]
-        with self._lock:
-            stats.merge(local)
-        return results
-
-    def _finish_one_vectorized(
-        self,
-        design: StencilDesign,
-        budget: ResourceBudget,
-        stats: EvaluationStats,
-        stored: Dict[Tuple, object],
-        scored: Dict[Tuple, Tuple[float, DesignResources]],
-        recorded: set,
-    ) -> Optional[EvaluatedDesign]:
-        """Per-candidate epilogue of the vectorized path.
-
-        Mirrors :meth:`_evaluate_one_unsynced` (minus pruning, which
-        never reaches here) with model/estimator calls replaced by the
-        precomputed ``scored`` values; ``recorded`` guards the store
-        against duplicate resource-only records for repeated designs.
-        """
-        stats.candidates += 1
-        sig = design.signature()
-        with self._lock:
-            cached = self._memo_get(sig)
-        if cached is not None:
-            stats.cache_hits += 1
-            if not cached.resources.total.fits_within(budget.limit):
-                stats.infeasible += 1
-                self._emit(CandidateTrace(design, "infeasible"))
-                return None
-            self._emit(
-                CandidateTrace(design, "cache-hit", cached.predicted_cycles)
-            )
-            return cached
-        entry = stored.get(sig)
-        if entry is not None and entry.complete:
-            result = EvaluatedDesign(design, entry.cycles, entry.resources)
-            with self._lock:
-                result = self._memo_put(sig, result)
-            stats.store_hits += 1
-            if not result.resources.total.fits_within(budget.limit):
-                stats.infeasible += 1
-                self._emit(CandidateTrace(design, "infeasible"))
-                return None
-            self._emit(
-                CandidateTrace(design, "store-hit", result.predicted_cycles)
-            )
-            return result
-        if entry is not None and entry.resources is not None:
-            resources = entry.resources
-            fresh_resources = False
-        else:
-            resources = scored[sig][1]
-            fresh_resources = True
-        if not resources.total.fits_within(budget.limit):
-            stats.infeasible += 1
-            if fresh_resources and sig not in recorded:
-                recorded.add(sig)
-                self._store_record(design, resources=resources)
-            self._emit(CandidateTrace(design, "infeasible"))
-            return None
-        if entry is not None and entry.cycles is not None:
-            cycles = entry.cycles
-            stats.store_hits += 1
-            if fresh_resources and sig not in recorded:
-                recorded.add(sig)
-                self._store_record(design, resources=resources)
-        else:
-            cycles = scored[sig][0]
-            stats.evaluated += 1
-            if sig not in recorded:
-                recorded.add(sig)
-                self._store_record(
-                    design, cycles=cycles, resources=resources
-                )
-        result = EvaluatedDesign(design, cycles, resources)
-        with self._lock:
-            result = self._memo_put(sig, result)
-        self._emit(CandidateTrace(design, "evaluated", cycles, None))
-        return result
 
     # -- tier-0 screening (the tiered search's vectorized gate) ----------------
 
@@ -772,47 +566,39 @@ class CandidateEvaluator:
         :meth:`lower_bound` — never exceeds the full prediction), and
         the exact total BRAM18 count, one entry per candidate.
 
-        The fast path runs the vectorized estimators
+        The vectorized estimators
         (:func:`~repro.fpga.batch.estimate_batch` /
-        :func:`~repro.model.batch.lower_bound_batch`); candidates out
-        of the exact-parity range fall back to scalar estimation.
-        Nothing is memoized on either path — screening a huge space
-        leaves the signature caches untouched, so peak residency stays
+        :func:`~repro.model.batch.lower_bound_batch`) do the work;
+        chunks out of their exact-parity range fall back to the scalar
+        estimator and bound.  Nothing is memoized — screening a huge
+        space leaves the memo untouched, so peak residency stays
         O(chunk), not O(space).
         """
         candidates = list(candidates)
         if not candidates:
             return [], [], []
-        if self.vectorize is not False:
-            try:
-                resources = estimate_batch(
-                    candidates, flexcl=self.estimator.flexcl
-                )
-                bounds = lower_bound_batch(
-                    candidates,
-                    fidelity=self.fidelity,
-                    flexcl=self.model.estimator,
-                )
-                feasible = resources.feasible(budget.limit)
-                return (
-                    [bool(f) for f in feasible],
-                    [float(b) for b in bounds],
-                    [int(b) for b in resources.total.bram18],
-                )
-            except BatchRangeError:
-                pass
-        feasible_s: List[bool] = []
-        bounds_s: List[float] = []
-        bram_s: List[int] = []
-        for design in candidates:
-            report = self.model.pipeline_report(design)
-            # An explicit report bypasses the estimator's signature
-            # cache: tier-0 rejects must not grow it.
-            res = self.estimator.estimate(design, report)
-            feasible_s.append(res.total.fits_within(budget.limit))
-            bounds_s.append(self.lower_bound(design))
-            bram_s.append(res.total.bram18)
-        return feasible_s, bounds_s, bram_s
+        try:
+            resources = estimate_batch(
+                candidates, flexcl=self.estimator.flexcl
+            )
+            bounds = lower_bound_batch(
+                candidates,
+                fidelity=self.fidelity,
+                flexcl=self.model.estimator,
+            )
+        except BatchRangeError:
+            totals = [self.estimator.estimate(d).total for d in candidates]
+            return (
+                [t.fits_within(budget.limit) for t in totals],
+                [self.lower_bound(d) for d in candidates],
+                [t.bram18 for t in totals],
+            )
+        feasible = resources.feasible(budget.limit)
+        return (
+            [bool(f) for f in feasible],
+            [float(b) for b in bounds],
+            [int(b) for b in resources.total.bram18],
+        )
 
     # -- batch evaluation ------------------------------------------------------
 
@@ -822,14 +608,7 @@ class CandidateEvaluator:
         budget: ResourceBudget,
         stats: Optional[EvaluationStats] = None,
     ) -> List[Optional[EvaluatedDesign]]:
-        """Score a batch; the result list always matches input order.
-
-        Parallel (``max_workers > 1``) and serial execution return the
-        same values for every candidate — with pruning enabled, the set
-        of skipped candidates can differ between runs, but a skipped
-        candidate is always provably slower than the best, so the
-        returned optimum is invariant.
-        """
+        """Score a batch; the result list always matches input order."""
         delta = EvaluationStats()
         start = time.perf_counter()
         with obs.span(
@@ -843,84 +622,7 @@ class CandidateEvaluator:
             stats.merge(delta)
             self._publish(delta)
         else:
-            self._absorb(delta)
-        return results
-
-    def _run_batch(
-        self,
-        candidates: Sequence[StencilDesign],
-        budget: ResourceBudget,
-        stats: EvaluationStats,
-    ) -> List[Optional[EvaluatedDesign]]:
-        if self._vector_eligible(len(candidates)):
-            vectorized = self._run_batch_vectorized(candidates, budget, stats)
-            if vectorized is not None:
-                return vectorized
-        incumbent: Optional[List[float]] = [None] if self.prune else None
-        bounds: Optional[List[float]] = None
-        order = range(len(candidates))
-        if self.prune:
-            # Lower bounds are cheap; scheduling candidates by
-            # ascending bound establishes a strong incumbent early and
-            # lets everything past the cutoff be rejected wholesale.
-            bounds = [self.lower_bound(d) for d in candidates]
-            order = sorted(order, key=lambda i: (bounds[i], i))
-        results: List[Optional[EvaluatedDesign]] = [None] * len(candidates)
-        workers = self.max_workers or 0
-        if workers > 1:
-            def evaluate(i):
-                return self._evaluate_one(
-                    candidates[i],
-                    budget,
-                    stats,
-                    incumbent,
-                    bounds[i] if bounds else None,
-                )
-            # Pool threads have no trace context of their own; carry
-            # the caller's (parented at this fan-out point) so every
-            # per-candidate span still lands in the request's trace.
-            # fork() is None when untraced — the common path stays
-            # allocation-free.
-            ctx = obs_trace.fork()
-            if ctx is None:
-                task = evaluate
-            else:
-                def task(i):
-                    with obs_trace.activate(ctx):
-                        return evaluate(i)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                ordered = list(pool.map(task, order))
-            for i, result in zip(order, ordered):
-                results[i] = result
-            return results
-        for position, i in enumerate(order):
-            if bounds is not None and incumbent is not None:
-                with self._lock:
-                    best = incumbent[0]
-                if best is not None and bounds[i] >= best:
-                    # Candidates are bound-sorted: everything from here
-                    # on is provably no faster than the incumbent.
-                    remaining = len(candidates) - position
-                    with self._lock:
-                        stats.candidates += remaining
-                        stats.pruned += remaining
-                    if self.trace is not None:
-                        for j in list(order)[position:]:
-                            self._emit(
-                                CandidateTrace(
-                                    candidates[j],
-                                    "pruned",
-                                    lower_bound=bounds[j],
-                                )
-                            )
-                    break
-            results[i] = self._evaluate_one(
-                candidates[i],
-                budget,
-                stats,
-                incumbent,
-                bounds[i] if bounds else None,
-            )
+            self.absorb_stats(delta)
         return results
 
     # -- exploration (the optimizer entry point) -------------------------------
@@ -932,11 +634,9 @@ class CandidateEvaluator:
     ) -> DSEResult:
         """Evaluate candidates against a budget; return the fastest.
 
-        Without pruning this reproduces the historical serial
-        ``Optimizer.explore`` bit for bit (same feasible set, same
-        stable ordering); with pruning the best design and its
-        predicted cycles are identical but provably-slower candidates
-        are absent from ``DSEResult.candidates``.
+        ``DSEResult.candidates`` holds every feasible candidate sorted
+        by predicted cycles (stable, so equal-latency designs keep
+        their input order and the first one wins).
         """
         candidates = list(candidates)
         stats = EvaluationStats()
@@ -950,7 +650,7 @@ class CandidateEvaluator:
             feasible = [r for r in results if r is not None]
             explore_span.set(feasible=len(feasible))
         stats.wall_time_s = time.perf_counter() - start
-        self._absorb(stats)
+        self.absorb_stats(stats)
         if obs.enabled():
             _log.debug("explore: %s", stats.summary())
         if not feasible:

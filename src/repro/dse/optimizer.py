@@ -7,9 +7,8 @@ discards candidates that exceed the resource budget, and returns the
 fastest feasible design.
 
 All four ``optimize_*`` entry points accept an optional ``evaluator``
-so callers can share one engine — and therefore its signature caches —
-across searches; each also accepts ``max_workers``/``prune`` knobs that
-are forwarded to a freshly built engine when none is supplied.
+so callers can share one engine — and therefore its signature memo —
+across searches.
 
 Candidate enumeration is *streaming*: every entry point builds a lazy
 generator and hands it to a :class:`~repro.dse.search.SearchDriver`.
@@ -36,7 +35,6 @@ from repro.dse.space import DesignSpace, fused_depth_candidates
 from repro.errors import DesignSpaceError
 from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import FpgaDevice, VIRTEX7_690T
-from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.stencil.spec import StencilSpec
 from repro.tiling.baseline import make_baseline_design
@@ -48,7 +46,6 @@ __all__ = [
     "DSEResult",
     "EvaluatedDesign",
     "EvaluationStats",
-    "Optimizer",
     "baseline_candidates",
     "full_space_candidates",
     "optimize_baseline",
@@ -58,59 +55,17 @@ __all__ = [
 ]
 
 
-class Optimizer:
-    """Model-driven design-space explorer.
-
-    A thin facade over :class:`CandidateEvaluator` kept for backward
-    compatibility; ``explore`` delegates to the engine.
-    """
-
-    def __init__(
-        self,
-        board: BoardSpec = ADM_PCIE_7V3,
-        fidelity: Fidelity = Fidelity.REFINED,
-        estimator: Optional[ResourceEstimator] = None,
-        max_workers: Optional[int] = None,
-        prune: bool = False,
-    ):
-        self.evaluator = CandidateEvaluator(
-            board=board,
-            fidelity=fidelity,
-            estimator=estimator,
-            max_workers=max_workers,
-            prune=prune,
-        )
-        self.board = board
-        self.model = self.evaluator.model
-        self.estimator = self.evaluator.estimator
-
-    def explore(
-        self,
-        candidates: Sequence[StencilDesign],
-        budget: ResourceBudget,
-    ) -> DSEResult:
-        """Evaluate candidates against a budget; return the fastest."""
-        return self.evaluator.explore(candidates, budget)
-
-
 def _resolve_evaluator(
     evaluator: Optional[CandidateEvaluator],
     board: BoardSpec,
     estimator: Optional[ResourceEstimator] = None,
-    max_workers: Optional[int] = None,
-    prune: bool = False,
     driver: Optional[SearchDriver] = None,
 ) -> CandidateEvaluator:
     if driver is not None:
         return driver.evaluator
     if evaluator is not None:
         return evaluator
-    return CandidateEvaluator(
-        board=board,
-        estimator=estimator,
-        max_workers=max_workers,
-        prune=prune,
-    )
+    return CandidateEvaluator(board=board, estimator=estimator)
 
 
 def _run_search(
@@ -305,8 +260,6 @@ def optimize_full(
     max_kernels: int = 16,
     max_fused_depth: int = 64,
     max_tile_options: int = 3,
-    max_workers: Optional[int] = None,
-    prune: bool = False,
     evaluator: Optional[CandidateEvaluator] = None,
     driver: Optional[SearchDriver] = None,
 ) -> dict:
@@ -321,21 +274,15 @@ def optimize_full(
     ``max_tile_options`` largest feasible power-of-two tile extents per
     dimension, and a thinned depth ladder.  One evaluator instance
     scores all three sweeps, so pipeline reports and recurring designs
-    are shared across them; pass ``max_workers``/``prune=True`` for the
-    engine's parallel and bound-pruned modes (pruning preserves the
-    best design but drops provably-slower candidates from the result's
-    candidate lists), or a tiered ``driver`` to stream all three
-    sweeps chunk by chunk.
+    are shared across them; pass a tiered ``driver`` to stream all
+    three sweeps chunk by chunk.
 
     Returns:
         ``{"baseline": DSEResult, "pipe-shared": DSEResult,
         "heterogeneous": DSEResult}``.
     """
     budget = ResourceBudget.from_device(device)
-    engine = _resolve_evaluator(
-        evaluator, board, max_workers=max_workers, prune=prune,
-        driver=driver,
-    )
+    engine = _resolve_evaluator(evaluator, board, driver=driver)
     knobs = {
         "spec": spec.signature(),
         "unroll": unroll,

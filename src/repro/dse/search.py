@@ -11,7 +11,8 @@ module restructures exploration around a :class:`SearchDriver` that
    :meth:`~repro.fpga.batch.BatchResources.feasible` resource mask
    plus the admissible latency lower bound of
    :func:`~repro.model.batch.lower_bound_batch` (bitwise-equal to the
-   scalar pruning bound, provably ≤ the Eq. 7-11 prediction), and
+   scalar :meth:`~repro.dse.evaluator.CandidateEvaluator.lower_bound`,
+   provably ≤ the Eq. 7-11 prediction), and
 3. promotes only the survivors to **Tier-1** exact scoring through
    the shared :class:`~repro.dse.evaluator.CandidateEvaluator`,
 
@@ -110,9 +111,8 @@ class SearchFrontier:
     def admits_cycles(self, bound: float) -> bool:
         """Latency screen: can a candidate with this bound still win?
 
-        Mirrors the scalar engine's prune rule (reject when ``bound >=
-        best``); an admissible bound therefore never rejects a
-        strictly faster candidate.
+        Rejects when ``bound >= best``; an admissible bound therefore
+        never rejects a strictly faster candidate.
         """
         return self.best is None or bound < self.best.predicted_cycles
 

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dse.evaluator import CandidateEvaluator, EvaluationStats
 from repro.errors import DesignSpaceError
 from repro.fpga.estimator import ResourceEstimator
-from repro.model.batch import BatchRangeError, predict_batch
 from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.store.backing import BackingStore
@@ -68,7 +67,8 @@ class SensitivityAnalyzer:
     :class:`~repro.dse.evaluator.CandidateEvaluator` per swept board
     point; the evaluators share a single FlexCL pipeline analyzer and
     resource estimator (those don't depend on the swept board knobs),
-    so re-sweeping a design re-uses all signature-cached work.
+    and each keeps its memo, so re-sweeping a design repeats no model
+    work.
 
     With a persistent ``store``, every per-board evaluator consults and
     writes through it (each board point gets its own evaluation
@@ -126,32 +126,6 @@ class SensitivityAnalyzer:
         measured = self._executor_for(board).total_cycles(design)
         return predicted, measured
 
-    def _prime_boards(
-        self, design: StencilDesign, boards: Sequence[BoardSpec]
-    ) -> None:
-        """Vectorize one design across every swept board point.
-
-        ``predict_batch`` accepts one board per candidate, so a whole
-        sweep's model work collapses into a single batched pass; the
-        bitwise-identical breakdowns are primed into each per-board
-        evaluator's model cache, and the per-point loop then answers
-        from cache.  Out-of-range designs fall back to the scalar path
-        (stats and results are unchanged either way).
-        """
-        try:
-            prediction = predict_batch(
-                [design] * len(boards),
-                board=boards,
-                fidelity=self.fidelity,
-                flexcl=self._estimator.flexcl,
-            )
-        except BatchRangeError:
-            return
-        for i, board in enumerate(boards):
-            self._evaluator_for(board).model.prime(
-                design, prediction.breakdown(i)
-            )
-
     def sweep_bandwidth(
         self,
         design: StencilDesign,
@@ -163,7 +137,6 @@ class SensitivityAnalyzer:
         boards = [
             self.board.with_bandwidth(bw) for bw in bandwidths_bytes_per_s
         ]
-        self._prime_boards(design, boards)
         points = []
         for bw, board in zip(bandwidths_bytes_per_s, boards):
             predicted, measured = self._evaluate(design, board)
@@ -182,7 +155,6 @@ class SensitivityAnalyzer:
             dataclasses.replace(self.board, pipe_cycles_per_word=int(cost))
             for cost in cycles_per_word
         ]
-        self._prime_boards(design, boards)
         points = []
         for cost, board in zip(cycles_per_word, boards):
             predicted, measured = self._evaluate(design, board)
@@ -201,7 +173,6 @@ class SensitivityAnalyzer:
             dataclasses.replace(self.board, launch_stagger_cycles=int(stagger))
             for stagger in stagger_cycles
         ]
-        self._prime_boards(design, boards)
         points = []
         for stagger, board in zip(stagger_cycles, boards):
             predicted, measured = self._evaluate(design, board)

@@ -64,6 +64,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro import obs
+from repro.experiments.configs import TABLE3_CONFIGS
 from repro.experiments.figure6 import render_figure6, run_figure6
 from repro.experiments.figure7 import (
     FIGURE7_BENCHMARKS,
@@ -76,6 +77,8 @@ from repro.stencil.library import PAPER_SUITE
 
 _REPRO_COMMANDS = ("table2", "table3", "figure6", "figure7", "all")
 _TOOL_COMMANDS = ("optimize", "simulate", "codegen", "calibrate", "program")
+#: Tooling commands that build their designs from a Table-3 config.
+_TABLE3_TOOLS = ("optimize", "simulate", "codegen")
 _SERVICE_COMMANDS = ("serve", "submit")
 _STORE_ACTIONS = ("stats", "compact", "gc", "invalidate")
 _OBS_ACTIONS = ("top",)
@@ -178,7 +181,6 @@ def _build_designs(benchmark: str, evaluator=None, driver=None):
         optimize_heterogeneous,
         optimize_pipe_shared,
     )
-    from repro.experiments.configs import TABLE3_CONFIGS
 
     config = TABLE3_CONFIGS[benchmark]
     baseline = config.baseline()
@@ -744,6 +746,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     args = parser.parse_args(argv)
+    if (
+        args.experiment in _TABLE3_TOOLS
+        and args.benchmark not in TABLE3_CONFIGS
+    ):
+        parser.error(
+            f"unknown --benchmark {args.benchmark!r} for "
+            f"{args.experiment}; choose from: "
+            f"{', '.join(TABLE3_CONFIGS)}"
+        )
 
     if args.log_level is not None:
         obs.configure_logging(level=args.log_level)

@@ -21,9 +21,8 @@ estimate is built from first principles:
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import obs
 from repro.fpga.bram import fifo_resources, local_array_blocks
@@ -69,8 +68,6 @@ class ResourceEstimator:
 
     def __init__(self, flexcl: Optional[FlexCLEstimator] = None):
         self.flexcl = flexcl or FlexCLEstimator()
-        self._cache: Dict[Tuple, DesignResources] = {}
-        self._lock = threading.Lock()
 
     def estimate(
         self,
@@ -79,52 +76,23 @@ class ResourceEstimator:
     ) -> DesignResources:
         """Estimate a design's total resource utilization.
 
-        Estimates are memoized by the design's canonical signature (the
-        estimate depends on nothing else), so repeated DSE evaluations
-        of recurring designs are free.  Safe to call from worker
-        threads.  Passing an explicit ``report`` bypasses the cache.
+        ``report`` is the design's FlexCL pipeline report; it is looked
+        up (FlexCL caches it per pattern) when omitted.
         """
-        if report is not None:
-            return self._estimate_uncached(design, report)
-        key = design.signature()
-        with self._lock:
-            cached = self._cache.get(key)
-        if obs.enabled():
-            obs.inc("fpga.estimates")
-            obs.inc("fpga.estimate_cache_hits", int(cached is not None))
-        if cached is not None:
-            return cached
         with obs.span("fpga.estimate"):
-            report = self.flexcl.estimate(
-                design.spec.pattern, design.unroll
-            )
-            resources = self._estimate_uncached(design, report)
-        with self._lock:
-            return self._cache.setdefault(key, resources)
-
-    def _estimate_uncached(
-        self, design: StencilDesign, report: PipelineReport
-    ) -> DesignResources:
-        kernels = ResourceVector()
-        for tile in design.tiles:
-            kernels = kernels + self._kernel_resources(design, tile, report)
-        pipes = self._pipe_resources(design)
+            if report is None:
+                report = self.flexcl.estimate(
+                    design.spec.pattern, design.unroll
+                )
+            kernels = ResourceVector()
+            for tile in design.tiles:
+                kernels = kernels + self._kernel_resources(
+                    design, tile, report
+                )
+            pipes = self._pipe_resources(design)
         return DesignResources(
             total=kernels + pipes, kernels=kernels, pipes=pipes
         )
-
-    def prime(
-        self, design: StencilDesign, resources: DesignResources
-    ) -> DesignResources:
-        """Seed the estimate cache with an externally-computed result.
-
-        Used by the vectorized batch engine
-        (:func:`repro.fpga.batch.estimate_batch`) to write its
-        integer-identical results through to the scalar cache.  First
-        write wins; the retained entry is returned.
-        """
-        with self._lock:
-            return self._cache.setdefault(design.signature(), resources)
 
     def check_fits(
         self, design: StencilDesign, device: FpgaDevice

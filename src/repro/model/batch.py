@@ -32,8 +32,8 @@ path's operation order and numeric types per equation:
 
 Candidates whose geometry exceeds the guarded range raise
 :class:`BatchRangeError`; callers (the
-:class:`~repro.dse.evaluator.CandidateEvaluator` fast path) fall back
-to the scalar model, so the guard affects speed, never results.
+:class:`~repro.dse.evaluator.CandidateEvaluator` scoring path) fall
+back to the scalar model, so the guard affects speed, never results.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro import obs
 from repro.fpga.flexcl import FlexCLEstimator, PipelineReport
@@ -139,8 +138,6 @@ class PerformanceModel:
         self.board = board
         self.fidelity = fidelity
         self.estimator = estimator or FlexCLEstimator()
-        self._cache: Dict[Tuple, LatencyBreakdown] = {}
-        self._lock = threading.Lock()
 
     def pipeline_report(self, design: StencilDesign) -> PipelineReport:
         """The HLS/FlexCL pipeline report used for ``C_element``."""
@@ -162,45 +159,6 @@ class PerformanceModel:
     def predict_cycles(self, design: StencilDesign) -> float:
         """Shortcut for ``predict(design).total``."""
         return self.predict(design).total
-
-    # -- pure, hashable-input entry point --------------------------------------
-
-    def predict_cached(self, design: StencilDesign) -> LatencyBreakdown:
-        """Memoized :meth:`predict`.
-
-        The prediction is a pure function of ``design.signature()``
-        (the board, fidelity, and FlexCL configuration are fixed per
-        model instance), so results are cached under that hashable key.
-        Safe to call concurrently from worker threads.
-        """
-        key = design.signature()
-        with self._lock:
-            cached = self._cache.get(key)
-        if obs.enabled():
-            obs.inc("model.predictions")
-            obs.inc("model.prediction_cache_hits", int(cached is not None))
-        if cached is not None:
-            return cached
-        breakdown = self.predict(design)
-        with self._lock:
-            return self._cache.setdefault(key, breakdown)
-
-    def predict_cycles_cached(self, design: StencilDesign) -> float:
-        """Shortcut for ``predict_cached(design).total``."""
-        return self.predict_cached(design).total
-
-    def prime(self, design: StencilDesign, breakdown: LatencyBreakdown) -> LatencyBreakdown:
-        """Seed the prediction cache with an externally-computed result.
-
-        Used by the vectorized batch engine
-        (:func:`repro.model.batch.predict_batch`) to write its
-        bitwise-identical results through to the scalar cache, so later
-        :meth:`predict_cached` calls for the same design are free.
-        First write wins (matching ``setdefault`` semantics); the
-        retained entry is returned.
-        """
-        with self._lock:
-            return self._cache.setdefault(design.signature(), breakdown)
 
     # -- paper-exact evaluation -------------------------------------------------
 

@@ -93,7 +93,6 @@ from repro.obs.trace import (
     TraceContext,
     activate as activate_trace,
     current as current_trace,
-    fork as fork_trace,
 )
 
 __all__ = [
@@ -118,7 +117,6 @@ __all__ = [
     "TraceContext",
     "activate_trace",
     "current_trace",
-    "fork_trace",
     "NOOP_ACTIVATION",
     # metrics
     "Counter",

@@ -224,15 +224,9 @@ def _derived_rates(counters: Dict[str, float]) -> Dict[str, float]:
     if candidates:
         for rate, source in (
             ("dse.cache_hit_rate", "dse.cache_hits"),
-            ("dse.prune_rate", "dse.pruned"),
             ("dse.infeasible_rate", "dse.infeasible"),
         ):
             derived[rate] = counters.get(source, 0) / candidates
-    estimates = counters.get("fpga.estimates", 0)
-    if estimates:
-        derived["fpga.estimate_cache_hit_rate"] = (
-            counters.get("fpga.estimate_cache_hits", 0) / estimates
-        )
     store_probes = counters.get("store.hits", 0) + counters.get(
         "store.misses", 0
     )

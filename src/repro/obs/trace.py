@@ -176,20 +176,3 @@ def activate(ctx: Optional[TraceContext]):
     if ctx is None:
         return NOOP_ACTIVATION
     return _Activation(ctx)
-
-
-def fork() -> Optional[TraceContext]:
-    """Capture the active context for re-activation on another thread.
-
-    The returned context is parented under the caller's innermost open
-    span, so spans opened on the other thread (under
-    ``activate(forked)``) nest where the fan-out happened.  ``None``
-    when no context is active — the common (untraced) case costs one
-    ``threading.local`` read.
-    """
-    ctx = _active.ctx
-    if ctx is None:
-        return None
-    from repro.obs.spans import current_span_seq
-
-    return ctx.with_parent(current_span_seq())

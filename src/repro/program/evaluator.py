@@ -5,11 +5,11 @@ tiered :class:`~repro.dse.search.SearchDriver` drives —
 ``screen_batch`` / ``evaluate_batch`` / ``explore`` / ``absorb_stats``
 plus the ``board`` / ``fidelity`` / ``estimator`` attributes — but
 over :class:`~repro.program.design.ProgramDesign` candidates.  Every
-per-stage number comes from a wrapped
-:class:`~repro.dse.evaluator.CandidateEvaluator` (so its signature
-memo, persistent store, and batch-engine fast paths are shared with
-single-stencil searches on the same engine), and the composition rules
-of :mod:`repro.program.model` turn stage numbers into program totals.
+per-stage number comes from the scoring function of a wrapped
+:class:`~repro.dse.evaluator.CandidateEvaluator` (batch engines, with
+the scalar model as the out-of-range fallback), and the composition
+rules of :mod:`repro.program.model` turn stage numbers into program
+totals.
 
 Program-level results are themselves memoized and store-backed under
 the :meth:`~repro.program.design.ProgramDesign.signature`, so a
@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.dse.constraints import ResourceBudget
@@ -35,11 +35,7 @@ from repro.dse.evaluator import (
 from repro.errors import DesignSpaceError
 from repro.fpga.batch import estimate_batch
 from repro.fpga.estimator import DesignResources
-from repro.model.batch import (
-    BatchRangeError,
-    lower_bound_batch,
-    predict_batch,
-)
+from repro.model.batch import BatchRangeError, lower_bound_batch
 from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.program.design import ProgramDesign
@@ -48,13 +44,13 @@ from repro.program.model import (
     compose_resources,
     program_lower_bound,
 )
-from repro.store.backing import BackingStore, evaluation_context
+from repro.store.backing import BackingStore, StoredResult, evaluation_context
 from repro.tiling.design import StencilDesign
 
 _log = obs.get_logger("program")
 
-#: Smallest batch worth a vectorized stage-priming pass.
-_VECTOR_MIN_BATCH = 2
+#: ``(total_cycles, resources)`` of one stage design.
+StageNumbers = Tuple[float, DesignResources]
 
 
 class ProgramEvaluator:
@@ -64,15 +60,13 @@ class ProgramEvaluator:
         board: platform the stage models evaluate against (ignored
             when ``stage_engine`` is given — the engine's board wins).
         fidelity: analytical-model variant (same caveat).
-        stage_engine: the single-stencil evaluator that scores stage
-            designs; one is built when omitted.  Passing a warm engine
-            (e.g. the service's resident evaluator) shares its memo
-            and store with every other caller.
+        stage_engine: the single-stencil evaluator whose scoring
+            function produces stage numbers; one is built when omitted.
+            Passing the service's resident evaluator shares its board,
+            fidelity, store, and per-candidate trace hook.
         store: optional persistent backing store for *program-level*
             entries; defaults to the stage engine's store, so one
             store serves both granularities.
-        vectorize: batch-scoring mode for the stage-priming pass —
-            ``None`` (auto: batches of 2+), ``True``, or ``False``.
     """
 
     def __init__(
@@ -81,20 +75,14 @@ class ProgramEvaluator:
         fidelity: Fidelity = Fidelity.REFINED,
         stage_engine: Optional[CandidateEvaluator] = None,
         store: Optional[BackingStore] = None,
-        vectorize: Optional[bool] = None,
     ):
         if stage_engine is None:
-            stage_engine = CandidateEvaluator(
-                board=board, fidelity=fidelity, vectorize=vectorize
-            )
+            stage_engine = CandidateEvaluator(board=board, fidelity=fidelity)
         self.stage_engine = stage_engine
         self.board = stage_engine.board
         self.fidelity = stage_engine.fidelity
         self.estimator = stage_engine.estimator
         self.model = stage_engine.model
-        self.vectorize = (
-            stage_engine.vectorize if vectorize is None else vectorize
-        )
         self.store = store if store is not None else stage_engine.store
         self.store_context = (
             evaluation_context(self.board, self.fidelity, self.estimator.flexcl)
@@ -108,21 +96,22 @@ class ProgramEvaluator:
 
     # -- composed primitives ---------------------------------------------------
 
+    def _stage_numbers(self, design: ProgramDesign) -> List[StageNumbers]:
+        return self.stage_engine._score(
+            [d for _name, d in design.stage_designs]
+        )
+
     def resources(self, design: ProgramDesign) -> DesignResources:
-        """Composed program resources (stage estimates are memoized)."""
-        stage_res = [
-            self.stage_engine.resources(d)
-            for _name, d in design.stage_designs
-        ]
-        return compose_resources(design.schedule, stage_res)
+        """Composed program resources."""
+        return compose_resources(
+            design.schedule, [r for _c, r in self._stage_numbers(design)]
+        )
 
     def predict_cycles(self, design: ProgramDesign) -> float:
-        """Composed program latency (stage predictions are memoized)."""
-        cycles = [
-            self.stage_engine.model.predict_cycles_cached(d)
-            for _name, d in design.stage_designs
-        ]
-        return compose_cycles(design, cycles, self.board)
+        """Composed program latency."""
+        return compose_cycles(
+            design, [c for c, _r in self._stage_numbers(design)], self.board
+        )
 
     def lower_bound(self, design: ProgramDesign) -> float:
         """Admissible composed program lower bound (cycles)."""
@@ -151,44 +140,6 @@ class ProgramEvaluator:
             design, self.store_context, cycles=cycles, resources=resources
         )
 
-    # -- vectorized stage priming ----------------------------------------------
-
-    def _prime_stages(self, candidates: Sequence[ProgramDesign]) -> None:
-        """Pre-score all fresh stage designs in two batched passes.
-
-        Primes the stage model's and estimator's signature caches with
-        the (bitwise-identical) batch-engine results, so the scalar
-        composition loop below never runs the scalar model.  Skipped
-        silently when vectorization is off, the batch is tiny, or any
-        stage is outside the batch engines' exact-parity range.
-        """
-        if self.vectorize is False:
-            return
-        unique: "OrderedDict[Tuple, StencilDesign]" = OrderedDict()
-        for pdesign in candidates:
-            for _name, d in pdesign.stage_designs:
-                unique.setdefault(d.signature(), d)
-        if self.vectorize is None and len(unique) < _VECTOR_MIN_BATCH:
-            return
-        designs = list(unique.values())
-        if not designs:
-            return
-        try:
-            prediction = predict_batch(
-                designs,
-                board=self.board,
-                fidelity=self.fidelity,
-                flexcl=self.model.estimator,
-            )
-            resources = estimate_batch(
-                designs, flexcl=self.estimator.flexcl
-            )
-        except BatchRangeError:
-            return
-        for i, d in enumerate(designs):
-            self.model.prime(d, prediction.breakdown(i))
-            self.estimator.prime(d, resources.design_resources(i))
-
     # -- tier-0 screening ------------------------------------------------------
 
     def screen_batch(
@@ -214,33 +165,21 @@ class ProgramEvaluator:
             offsets.append(len(flat))
             flat.extend(d for _name, d in pdesign.stage_designs)
         offsets.append(len(flat))
-        stage_res: Optional[List[DesignResources]] = None
-        stage_bounds: Optional[List[float]] = None
-        if self.vectorize is not False:
-            try:
-                batch_res = estimate_batch(
-                    flat, flexcl=self.estimator.flexcl
-                )
-                batch_bounds = lower_bound_batch(
-                    flat,
-                    fidelity=self.fidelity,
-                    flexcl=self.model.estimator,
-                )
-                stage_res = [
-                    batch_res.design_resources(j) for j in range(len(flat))
-                ]
-                stage_bounds = [float(b) for b in batch_bounds]
-            except BatchRangeError:
-                stage_res = None
-        if stage_res is None:
-            stage_res = []
-            stage_bounds = []
-            for d in flat:
-                report = self.model.pipeline_report(d)
-                # An explicit report bypasses the estimator's signature
-                # cache: tier-0 rejects must not grow it.
-                stage_res.append(self.estimator.estimate(d, report))
-                stage_bounds.append(self.stage_engine.lower_bound(d))
+        try:
+            batch_res = estimate_batch(flat, flexcl=self.estimator.flexcl)
+            batch_bounds = lower_bound_batch(
+                flat,
+                fidelity=self.fidelity,
+                flexcl=self.model.estimator,
+            )
+        except BatchRangeError:
+            stage_res = [self.estimator.estimate(d) for d in flat]
+            stage_bounds = [self.stage_engine.lower_bound(d) for d in flat]
+        else:
+            stage_res = [
+                batch_res.design_resources(j) for j in range(len(flat))
+            ]
+            stage_bounds = [float(b) for b in batch_bounds]
         feasible: List[bool] = []
         bounds: List[float] = []
         bram: List[int] = []
@@ -265,8 +204,12 @@ class ProgramEvaluator:
         design: ProgramDesign,
         budget: ResourceBudget,
         stats: EvaluationStats,
+        stored: Dict[Tuple, Optional[StoredResult]],
+        stages: Dict[Tuple, StageNumbers],
     ) -> Optional[EvaluatedDesign]:
-        result, outcome = self._score_one(design, budget, stats)
+        result, outcome = self._score_one(
+            design, budget, stats, stored, stages
+        )
         # Every composed candidate flows through the stage engine's
         # per-candidate hook, exactly like single-stencil candidates
         # do — the synthesis service's cancellation point lives there,
@@ -289,6 +232,8 @@ class ProgramEvaluator:
         design: ProgramDesign,
         budget: ResourceBudget,
         stats: EvaluationStats,
+        stored: Dict[Tuple, Optional[StoredResult]],
+        stages: Dict[Tuple, StageNumbers],
     ) -> Tuple[Optional[EvaluatedDesign], str]:
         stats.candidates += 1
         sig = design.signature()
@@ -300,9 +245,9 @@ class ProgramEvaluator:
                 stats.infeasible += 1
                 return None, "infeasible"
             return cached, "cache-hit"
-        stored = self._store_lookup(design)
-        if stored is not None and stored.complete:
-            result = EvaluatedDesign(design, stored.cycles, stored.resources)
+        entry = stored.get(sig)
+        if entry is not None and entry.complete:
+            result = EvaluatedDesign(design, entry.cycles, entry.resources)
             with self._lock:
                 result = self._results.setdefault(sig, result)
             stats.store_hits += 1
@@ -310,12 +255,17 @@ class ProgramEvaluator:
                 stats.infeasible += 1
                 return None, "infeasible"
             return result, "store-hit"
-        resources = self.resources(design)
+        numbers = [stages[d.signature()] for _name, d in design.stage_designs]
+        resources = compose_resources(
+            design.schedule, [r for _c, r in numbers]
+        )
         if not resources.total.fits_within(budget.limit):
             stats.infeasible += 1
             self._store_record(design, resources=resources)
             return None, "infeasible"
-        cycles = self.predict_cycles(design)
+        cycles = compose_cycles(
+            design, [c for c, _r in numbers], self.board
+        )
         stats.evaluated += 1
         self._store_record(design, cycles=cycles, resources=resources)
         result = EvaluatedDesign(design, cycles, resources)
@@ -329,7 +279,14 @@ class ProgramEvaluator:
         budget: ResourceBudget,
         stats: Optional[EvaluationStats] = None,
     ) -> List[Optional[EvaluatedDesign]]:
-        """Score a batch of programs; results match input order."""
+        """Score a batch of programs; results match input order.
+
+        Each distinct program the memo cannot answer is looked up in
+        the store once; the stage designs of those the store cannot
+        answer either are scored by one call of the stage engine's
+        scoring function.  Stage scoring adds no stage-level memo
+        entries, store traffic, stats or trace events.
+        """
         delta = EvaluationStats()
         start = time.perf_counter()
         with obs.span(
@@ -337,9 +294,23 @@ class ProgramEvaluator:
             candidates=len(candidates),
             budget=budget.label,
         ):
-            self._prime_stages(candidates)
+            stored: Dict[Tuple, Optional[StoredResult]] = {}
+            fresh: Dict[Tuple, StencilDesign] = {}
+            for design in candidates:
+                sig = design.signature()
+                with self._lock:
+                    known = sig in self._results
+                if known or sig in stored:
+                    continue
+                entry = stored[sig] = self._store_lookup(design)
+                if entry is None or not entry.complete:
+                    for _name, d in design.stage_designs:
+                        fresh.setdefault(d.signature(), d)
+            stages = dict(
+                zip(fresh, self.stage_engine._score(list(fresh.values())))
+            )
             results = [
-                self._evaluate_one(design, budget, delta)
+                self._evaluate_one(design, budget, delta, stored, stages)
                 for design in candidates
             ]
         delta.wall_time_s = time.perf_counter() - start

@@ -115,9 +115,9 @@ def design_key(design_signature, context: str) -> str:
 class StoredResult:
     """One store entry decoded for the evaluator.
 
-    Either field may be absent: the prediction-only path
-    (``predict_cycles``) stores cycles without resources, and the full
-    ``evaluate`` path later upgrades the same entry in place.
+    Either field may be absent: a candidate that fails its budget is
+    stored with resources but no prediction, and a later evaluation
+    that scores it upgrades the same entry in place.
     """
 
     cycles: Optional[float] = None

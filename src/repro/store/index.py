@@ -90,7 +90,7 @@ def merge_entries(target: Dict[str, dict], records) -> None:
     Journals from different writers have no global order, but store
     entries are content-addressed: two records under one key describe
     the same deterministic evaluation and can differ at most in
-    completeness (prediction-only vs full).  Merging therefore fills
+    completeness (partial vs full).  Merging therefore fills
     missing fields instead of letting arbitrary file order win.
     """
     for record in records:

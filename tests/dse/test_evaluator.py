@@ -1,8 +1,11 @@
 """Tests for the unified candidate-evaluation engine."""
 
+import gc
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.dse import (
     CandidateEvaluator,
@@ -68,27 +71,95 @@ class TestCaching:
         engine.evaluate(baseline, budget)
         assert engine.stats.evaluated == 2
 
+    def test_lookups_share_the_memo(self, baseline, budget):
+        engine = CandidateEvaluator()
+        resources = engine.resources(baseline)
+        assert engine.predict_cycles(baseline) == engine.evaluate(
+            baseline, budget
+        ).predicted_cycles
+        assert engine.evaluate(baseline, budget).resources == resources
+        assert engine.stats.evaluated == 1
+        assert engine.stats.cache_hits == 3
+        assert engine.cache_size() == 1
+
+
+class TestMemoBound:
+    def test_lru_eviction_mid_batch_keeps_memo_answers(
+        self, baseline, budget
+    ):
+        engine = CandidateEvaluator(max_memo_entries=1)
+        first = engine.evaluate(baseline, budget)
+        other = baseline.with_fused_depth(2)
+        # Scoring ``other`` evicts ``baseline``; its second appearance
+        # is still answered by the memo hit resolved for this batch.
+        results = engine.evaluate_batch([baseline, other, baseline], budget)
+        assert results[0] is first and results[2] is first
+        assert engine.stats.cache_hits == 2
+        assert engine.stats.evaluated == 2
+        assert engine.cache_size() == 1
+
+    def test_bounded_memo_bounds_retained_memory(self):
+        """A bounded engine keeps no other per-design cache.
+
+        Four full-space searches through one engine must leave the
+        same memory behind as the first did: nothing but the memo
+        (capped at 64 entries) may grow with the number of designs
+        scored.
+        """
+        engine = CandidateEvaluator(max_memo_entries=64)
+        retained = []
+        tracemalloc.start()
+        try:
+            for extent in (128, 256, 512, 1024):
+                optimize_full(
+                    jacobi_2d(grid=(extent, extent), iterations=32),
+                    evaluator=engine,
+                    unroll=2,
+                    max_kernels=8,
+                    max_fused_depth=16,
+                )
+                gc.collect()
+                retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert engine.cache_size() == 64
+        assert retained[-1] - retained[0] < 1 << 20
+
 
 class TestBatch:
     def test_results_match_input_order(self, baseline, budget):
         depths = (8, 1, 4, 2, 1)
         candidates = [baseline.with_fused_depth(h) for h in depths]
-        for workers in (None, 4):
-            engine = CandidateEvaluator(max_workers=workers)
-            results = engine.evaluate_batch(candidates, budget)
-            assert len(results) == len(candidates)
-            for candidate, result in zip(candidates, results):
-                assert result.design.signature() == candidate.signature()
+        engine = CandidateEvaluator()
+        results = engine.evaluate_batch(candidates, budget)
+        assert len(results) == len(candidates)
+        for candidate, result in zip(candidates, results):
+            assert result.design.signature() == candidate.signature()
 
     def test_parallel_matches_serial(self, baseline, budget):
+        """Threads sharing one engine get the serial values."""
         candidates = [baseline.with_fused_depth(h) for h in (1, 2, 4, 8)]
         serial = CandidateEvaluator().evaluate_batch(candidates, budget)
-        parallel = CandidateEvaluator(max_workers=4).evaluate_batch(
-            candidates, budget
-        )
-        assert [r.predicted_cycles for r in serial] == [
-            r.predicted_cycles for r in parallel
-        ]
+        shared = CandidateEvaluator()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                parallel = list(
+                    pool.map(
+                        lambda _: shared.evaluate_batch(candidates, budget),
+                        range(8),
+                        timeout=120,
+                    )
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parallel) == 8
+        for results in parallel:
+            assert [r.predicted_cycles for r in results] == [
+                r.predicted_cycles for r in serial
+            ]
+        assert shared.cache_size() == len(candidates)
 
     def test_explore_attaches_stats(self, baseline, budget):
         engine = CandidateEvaluator()
@@ -107,6 +178,8 @@ class TestBatch:
 
 
 class TestPruning:
+    """The admissible bound the tiered search's Tier-0 screen prunes with."""
+
     def test_bound_is_admissible(self, baseline):
         engine = CandidateEvaluator()
         for h in (1, 2, 4, 8):
@@ -115,80 +188,32 @@ class TestPruning:
                 design
             ) * (1 + 1e-12)
 
-    def test_prune_keeps_best(self, baseline, budget):
-        candidates = [
-            baseline.with_fused_depth(h) for h in (1, 2, 3, 4, 6, 8, 12, 16)
-        ]
-        plain = CandidateEvaluator().explore(candidates, budget)
-        pruned = CandidateEvaluator(prune=True).explore(candidates, budget)
-        assert (
-            pruned.best.design.signature() == plain.best.design.signature()
-        )
-        assert pruned.best.predicted_cycles == plain.best.predicted_cycles
-        assert pruned.stats.evaluated <= plain.stats.evaluated
-
-    def test_pruned_candidates_counted(self, baseline, budget):
-        candidates = [baseline.with_fused_depth(h) for h in range(1, 17)]
-        engine = CandidateEvaluator(prune=True)
-        result = engine.explore(candidates, budget)
-        stats = result.stats
-        assert stats.candidates == len(candidates)
-        assert (
-            stats.evaluated
-            + stats.cache_hits
-            + stats.pruned
-            + stats.infeasible
-            == len(candidates)
-        )
-
-
-class TestPropertyPruning:
-    @settings(max_examples=20, deadline=None)
-    @given(
-        depths=st.lists(
-            st.integers(min_value=1, max_value=16),
-            min_size=1,
-            max_size=8,
-            unique=True,
-        ),
-        counts=st.sampled_from([(1, 1), (2, 2), (4, 2)]),
-        unroll=st.sampled_from([1, 2]),
-    )
-    def test_pruning_never_discards_optimum(self, depths, counts, unroll):
-        spec = jacobi_2d(grid=(64, 64), iterations=16)
-        base = make_baseline_design(spec, (16, 16), counts, 1, unroll=unroll)
-        candidates = [base.with_fused_depth(h) for h in depths]
-        budget = ResourceBudget.from_device(VIRTEX7_690T)
-        plain = CandidateEvaluator().explore(candidates, budget)
-        for workers in (None, 2):
-            pruned = CandidateEvaluator(
-                prune=True, max_workers=workers
-            ).explore(candidates, budget)
-            assert (
-                pruned.best.design.signature()
-                == plain.best.design.signature()
-            )
-            assert (
-                pruned.best.predicted_cycles == plain.best.predicted_cycles
-            )
-
 
 class TestOptimizeFullParity:
     def test_parallel_cached_matches_serial(self, spec):
+        """Concurrent searches through one shared engine (as the
+        in-process service runs them) return the serial bests."""
         kwargs = dict(unroll=2, max_kernels=4, max_fused_depth=8)
         serial = optimize_full(spec, **kwargs)
-        engine = CandidateEvaluator(max_workers=4, prune=True)
-        fast = optimize_full(spec, evaluator=engine, **kwargs)
-        assert set(serial) == set(fast)
-        for kind, serial_result in serial.items():
-            assert (
-                fast[kind].best.design.signature()
-                == serial_result.best.design.signature()
+        engine = CandidateEvaluator()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(
+                pool.map(
+                    lambda _: optimize_full(spec, evaluator=engine, **kwargs),
+                    range(2),
+                )
             )
-            assert (
-                fast[kind].best.predicted_cycles
-                == serial_result.best.predicted_cycles
-            )
+        for fast in runs:
+            assert set(serial) == set(fast)
+            for kind, serial_result in serial.items():
+                assert (
+                    fast[kind].best.design.signature()
+                    == serial_result.best.design.signature()
+                )
+                assert (
+                    fast[kind].best.predicted_cycles
+                    == serial_result.best.predicted_cycles
+                )
 
     def test_serial_engine_is_bit_identical(self, spec):
         kwargs = dict(unroll=2, max_kernels=4, max_fused_depth=8)
@@ -211,18 +236,18 @@ class TestOptimizeFullParity:
 class TestTraceAndStats:
     def test_trace_hook_sees_every_candidate(self, baseline, budget):
         events = []
-        engine = CandidateEvaluator(prune=True, trace=events.append)
+        engine = CandidateEvaluator(trace=events.append)
         candidates = [baseline.with_fused_depth(h) for h in (1, 2, 4, 8)]
         engine.explore(candidates, budget)
         assert len(events) == len(candidates)
         assert all(isinstance(e, CandidateTrace) for e in events)
         outcomes = {e.outcome for e in events}
-        assert outcomes <= {"evaluated", "cache-hit", "infeasible", "pruned"}
+        assert outcomes <= {"evaluated", "cache-hit", "infeasible"}
         assert "evaluated" in outcomes
 
     def test_trace_seq_ids_are_monotonic(self, baseline, budget):
         events = []
-        engine = CandidateEvaluator(prune=True, trace=events.append)
+        engine = CandidateEvaluator(trace=events.append)
         candidates = [baseline.with_fused_depth(h) for h in (1, 2, 4, 8)]
         engine.explore(candidates, budget)
         engine.explore(candidates, budget)  # second batch keeps counting
@@ -232,20 +257,25 @@ class TestTraceAndStats:
         self, baseline, budget
     ):
         events = []
-        engine = CandidateEvaluator(max_workers=4, trace=events.append)
+        engine = CandidateEvaluator(trace=events.append)
         candidates = [
             baseline.with_fused_depth(h) for h in (1, 2, 3, 4, 5, 6, 7, 8)
         ] * 2
-        engine.explore(candidates, budget)
-        seqs = [e.seq for e in events]
-        # Assigned under the engine lock at emit time: the arrival
-        # order of trace callbacks IS the sequence order.
-        assert seqs == sorted(seqs)
-        assert len(set(seqs)) == len(candidates)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(
+                pool.map(
+                    lambda _: engine.explore(candidates, budget), range(4)
+                )
+            )
+        # Assigned under the engine lock at emit time: every event of
+        # every concurrent caller gets a distinct id.
+        assert sorted(e.seq for e in events) == list(
+            range(4 * len(candidates))
+        )
 
     def test_stats_merge_and_dict(self):
         a = EvaluationStats(candidates=2, evaluated=1, cache_hits=1)
-        b = EvaluationStats(candidates=3, pruned=2, infeasible=1)
+        b = EvaluationStats(candidates=3, screened=2, infeasible=1)
         a.merge(b)
         assert a.as_dict() == {
             "candidates": 5,
@@ -253,8 +283,7 @@ class TestTraceAndStats:
             "cache_hits": 1,
             "store_hits": 0,
             "infeasible": 1,
-            "pruned": 2,
-            "screened": 0,
+            "screened": 2,
             "promoted": 0,
             "wall_time_s": 0.0,
         }

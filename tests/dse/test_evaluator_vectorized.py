@@ -1,23 +1,38 @@
-"""Equivalence tests for the evaluator's vectorized fast path.
+"""Parity of the evaluator's one scoring path with the scalar oracle.
 
-The fast path must be *indistinguishable* from the scalar path in
-everything except speed: same results, same engine counters, same
-trace streams, same store contents.  Every comparison here is exact.
+The engine scores fresh designs with the vectorized batch engines; the
+scalar :class:`PerformanceModel` / :class:`ResourceEstimator` pair is
+the Eq. 1-11 reference it must reproduce, and its fallback for designs
+outside the batch engines' exact-parity range.  Every comparison here
+is exact: same results, same counters, same trace stream, same store
+contents.
 """
 
 import pytest
 
 from repro.dse import CandidateEvaluator, ResourceBudget
+from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import VIRTEX7_690T, ResourceVector
-from repro.model.predictor import Fidelity
+from repro.model.batch import BatchRangeError, predict_batch
+from repro.model.predictor import Fidelity, PerformanceModel
+from repro.program import ProgramDesign, ProgramEvaluator
+from repro.program.model import compose_cycles, compose_resources
+from repro.program.spec import single_stage_program
 from repro.stencil import hotspot_2d, jacobi_2d
-from repro.store.backing import DesignStore
+from repro.store.backing import DesignStore, design_key
+from repro.store.journal import decode_record
 from repro.tiling import make_baseline_design, make_pipe_shared_design
 
 
 @pytest.fixture(scope="module")
 def budget():
     return ResourceBudget.from_device(VIRTEX7_690T)
+
+
+#: A budget every design fits, however large.
+UNLIMITED = ResourceBudget(
+    limit=ResourceVector(2**80, 2**80, 2**80, 2**80), label="unlimited"
+)
 
 
 def make_candidates():
@@ -35,13 +50,34 @@ def make_candidates():
     return designs
 
 
-def run_engine(vectorize, budget, store=None, fidelity=Fidelity.REFINED):
+def mixed_range_designs():
+    """An in-range design next to one the batch engines must refuse."""
+    small = make_baseline_design(
+        jacobi_2d(grid=(256, 256), iterations=32), (64, 64), (2, 2), 4
+    )
+    huge = make_baseline_design(
+        jacobi_2d(grid=(2**30, 2**30), iterations=32),
+        (2**28, 2**28),
+        (2, 2),
+        4,
+    )
+    with pytest.raises(BatchRangeError):
+        predict_batch([huge])
+    return [small, huge]
+
+
+def oracle(design, fidelity=Fidelity.REFINED):
+    """The scalar Eq. 1-11 model and resource estimator."""
+    return (
+        PerformanceModel(fidelity=fidelity).predict_cycles(design),
+        ResourceEstimator().estimate(design),
+    )
+
+
+def run_engine(budget, store=None, fidelity=Fidelity.REFINED):
     traces = []
     engine = CandidateEvaluator(
-        fidelity=fidelity,
-        vectorize=vectorize,
-        trace=traces.append,
-        store=store,
+        fidelity=fidelity, trace=traces.append, store=store
     )
     results = engine.evaluate_batch(make_candidates(), budget)
     return engine, results, traces
@@ -55,99 +91,140 @@ def strip_wall_time(stats):
 
 @pytest.mark.parametrize("fidelity", [Fidelity.PAPER, Fidelity.REFINED])
 def test_fast_path_matches_scalar_path(budget, fidelity):
-    scalar_engine, scalar, scalar_traces = run_engine(
-        False, budget, fidelity=fidelity
-    )
-    vector_engine, vector, vector_traces = run_engine(
-        True, budget, fidelity=fidelity
-    )
+    engine, results, traces = run_engine(budget, fidelity=fidelity)
+    candidates = make_candidates()
 
-    assert len(scalar) == len(vector)
-    for s, v in zip(scalar, vector):
-        assert (s is None) == (v is None)
-        if s is not None:
-            assert v.design.signature() == s.design.signature()
-            assert v.predicted_cycles == s.predicted_cycles
-            assert v.resources == s.resources
+    seen = set()
+    expected_traces = []
+    for seq, (design, result) in enumerate(zip(candidates, results)):
+        cycles, resources = oracle(design, fidelity)
+        assert result is not None
+        assert result.design.signature() == design.signature()
+        assert result.predicted_cycles == cycles
+        assert result.resources == resources
+        sig = design.signature()
+        outcome = "cache-hit" if sig in seen else "evaluated"
+        seen.add(sig)
+        expected_traces.append((sig, outcome, cycles, seq))
 
-    assert strip_wall_time(vector_engine.stats) == strip_wall_time(
-        scalar_engine.stats
-    )
+    assert strip_wall_time(engine.stats) == {
+        "candidates": len(candidates),
+        "evaluated": len(seen),
+        "cache_hits": len(candidates) - len(seen),
+        "store_hits": 0,
+        "infeasible": 0,
+        "screened": 0,
+        "promoted": 0,
+    }
     assert [
         (t.design.signature(), t.outcome, t.predicted_cycles, t.seq)
-        for t in vector_traces
-    ] == [
-        (t.design.signature(), t.outcome, t.predicted_cycles, t.seq)
-        for t in scalar_traces
-    ]
+        for t in traces
+    ] == expected_traces
 
 
 def test_duplicates_hit_memo_inside_one_batch(budget):
-    engine, results, _ = run_engine(True, budget)
+    engine, results, _ = run_engine(budget)
     assert engine.stats.cache_hits == 2
     assert results[-2].predicted_cycles == results[0].predicted_cycles
 
 
 def test_infeasible_budget_matches_scalar(budget):
     tiny = ResourceBudget(limit=ResourceVector(1, 1, 1, 1))
-    scalar_engine, scalar, _ = run_engine(False, tiny)
-    vector_engine, vector, _ = run_engine(True, tiny)
-    assert all(r is None for r in vector)
-    assert scalar == vector
-    assert strip_wall_time(vector_engine.stats) == strip_wall_time(
-        scalar_engine.stats
-    )
-    assert vector_engine.stats.infeasible == len(make_candidates())
+    engine, results, traces = run_engine(tiny)
+    assert all(r is None for r in results)
+    # Budget-rejected fresh results are not memoized, so repeats are
+    # rejected again rather than counted as cache hits.
+    assert strip_wall_time(engine.stats) == {
+        "candidates": len(make_candidates()),
+        "evaluated": 0,
+        "cache_hits": 0,
+        "store_hits": 0,
+        "infeasible": len(make_candidates()),
+        "screened": 0,
+        "promoted": 0,
+    }
+    assert {t.outcome for t in traces} == {"infeasible"}
+    assert engine.cache_size() == 0
 
 
 def test_store_contents_identical(tmp_path, budget):
-    with DesignStore(tmp_path / "scalar") as store:
-        run_engine(False, budget, store=store)
-    with DesignStore(tmp_path / "vector") as store:
-        run_engine(True, budget, store=store)
+    with DesignStore(tmp_path / "s") as store:
+        engine, _, _ = run_engine(budget, store=store)
+        context = engine.store_context
 
-    # Same records, same order, same serialization — byte for byte.
-    for name in ("journal.jsonl", "snapshot.jsonl"):
-        scalar_file = tmp_path / "scalar" / name
-        vector_file = tmp_path / "vector" / name
-        assert scalar_file.exists() == vector_file.exists()
-        if scalar_file.exists():
-            assert scalar_file.read_bytes() == vector_file.read_bytes()
+    # One write-through per distinct design, in first-seen order, each
+    # holding the scalar oracle's numbers.
+    unique = list({d.signature(): d for d in make_candidates()}.values())
+    journal = (tmp_path / "s" / "journal.jsonl").read_text().splitlines()
+    assert [decode_record(line)["key"] for line in journal] == [
+        design_key(d.signature(), context) for d in unique
+    ]
+    with DesignStore(tmp_path / "s") as store:
+        for design in unique:
+            entry = store.lookup_design(design, context)
+            assert (entry.cycles, entry.resources) == oracle(design)
 
 
 def test_warm_store_answers_without_evaluation(tmp_path, budget):
     with DesignStore(tmp_path / "s") as store:
-        run_engine(True, budget, store=store)
+        run_engine(budget, store=store)
     with DesignStore(tmp_path / "s") as store:
-        engine, results, _ = run_engine(True, budget, store=store)
+        engine, results, _ = run_engine(budget, store=store)
         assert engine.stats.evaluated == 0
         assert engine.stats.store_hits > 0
         assert all(r is not None for r in results)
 
 
-def test_vectorize_knob_eligibility(budget):
-    auto = CandidateEvaluator()
-    assert not auto._vector_eligible(0)
-    assert not auto._vector_eligible(1)
-    assert auto._vector_eligible(2)
-
-    forced = CandidateEvaluator(vectorize=True)
-    assert forced._vector_eligible(1)
-    assert not forced._vector_eligible(0)
-
-    disabled = CandidateEvaluator(vectorize=False)
-    assert not disabled._vector_eligible(100)
-
-    pruning = CandidateEvaluator(prune=True, vectorize=True)
-    assert not pruning._vector_eligible(100)
-
-
 def test_single_candidate_forced_vector_matches_scalar(budget):
     design = make_candidates()[0]
-    scalar = CandidateEvaluator(vectorize=False)
-    vector = CandidateEvaluator(vectorize=True)
-    s = scalar.evaluate_batch([design], budget)[0]
-    v = vector.evaluate_batch([design], budget)[0]
-    assert s is not None and v is not None
-    assert v.predicted_cycles == s.predicted_cycles
-    assert v.resources == s.resources
+    result = CandidateEvaluator().evaluate_batch([design], budget)[0]
+    assert result is not None
+    assert (result.predicted_cycles, result.resources) == oracle(design)
+
+
+class TestOutOfRangeFallback:
+    """A batch the vectorized engines refuse is scored by the oracle."""
+
+    def test_evaluate_batch(self):
+        designs = mixed_range_designs()
+        engine = CandidateEvaluator()
+        results = engine.evaluate_batch(designs, UNLIMITED)
+        for design, result in zip(designs, results):
+            assert (result.predicted_cycles, result.resources) == oracle(
+                design
+            )
+        assert engine.stats.evaluated == len(designs)
+
+    def test_screen_batch(self):
+        designs = mixed_range_designs()
+        engine = CandidateEvaluator()
+        feasible, bounds, bram = engine.screen_batch(designs, UNLIMITED)
+        assert feasible == [True, True]
+        assert bounds == [engine.lower_bound(d) for d in designs]
+        assert bram == [oracle(d)[1].total.bram18 for d in designs]
+
+    def test_program_batch(self):
+        designs = mixed_range_designs()
+        programs = [
+            ProgramDesign(
+                program=single_stage_program(d.spec),
+                stage_designs=((d.spec.name, d),),
+                schedule=schedule,
+            )
+            for d in designs
+            for schedule in ("coresident", "timeshared")
+        ]
+        engine = ProgramEvaluator()
+        results = engine.evaluate_batch(programs, UNLIMITED)
+        for program, result in zip(programs, results):
+            [(_name, stage)] = program.stage_designs
+            cycles, resources = oracle(stage)
+            assert result.predicted_cycles == compose_cycles(
+                program, [cycles], engine.board
+            )
+            assert result.resources == compose_resources(
+                program.schedule, [resources]
+            )
+        # Stage scoring leaves the stage engine untouched.
+        assert engine.stage_engine.cache_size() == 0
+        assert engine.stage_engine.stats.candidates == 0

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dse import (
-    Optimizer,
+    CandidateEvaluator,
     ResourceBudget,
     optimize_baseline,
     optimize_heterogeneous,
@@ -32,7 +32,7 @@ class TestExplore:
         ]
         from repro.fpga.resources import VIRTEX7_690T
 
-        result = Optimizer().explore(
+        result = CandidateEvaluator().explore(
             candidates, ResourceBudget.from_device(VIRTEX7_690T)
         )
         assert result.evaluated == 5
@@ -44,13 +44,13 @@ class TestExplore:
     def test_infeasible_budget_raises(self, baseline):
         tiny = ResourceBudget(limit=ResourceVector(1, 1, 1, 1))
         with pytest.raises(DesignSpaceError, match="No feasible design"):
-            Optimizer().explore([baseline], tiny)
+            CandidateEvaluator().explore([baseline], tiny)
 
     def test_candidates_sorted(self, spec, baseline):
         from repro.fpga.resources import VIRTEX7_690T
 
         candidates = [baseline.with_fused_depth(h) for h in (1, 4, 8)]
-        result = Optimizer().explore(
+        result = CandidateEvaluator().explore(
             candidates, ResourceBudget.from_device(VIRTEX7_690T)
         )
         cycles = [c.predicted_cycles for c in result.candidates]

@@ -3,9 +3,9 @@
 The contract under test is exact: a tiered search (any chunk size, any
 screen mode, vectorized or scalar screening) must return the
 *bitwise-identical* best design the exhaustive sweep returns, and —
-with a non-pruning evaluator and a frontier-preserving screen (``None``
-or ``"pareto"``; the latency screen may legitimately drop band points
-slower than the best) — the identical final Pareto frontier.
+with a frontier-preserving screen (``None`` or ``"pareto"``; the
+latency screen may legitimately drop band points slower than the
+best) — the identical final Pareto frontier.
 Checkpointed runs must resume to the same answer after interruption,
 including a SIGKILL mid-chunk.
 """
@@ -33,10 +33,12 @@ from repro.dse import (
     pareto_explore,
     pareto_front,
 )
+from repro.dse import evaluator as evaluator_module
 from repro.dse.search import SearchFrontier
 from repro.errors import DesignSpaceError, StoreError
+from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import VIRTEX7_690T, ResourceVector
-from repro.model.batch import lower_bound_batch
+from repro.model.batch import BatchRangeError, lower_bound_batch
 from repro.model.predictor import Fidelity
 from repro.stencil import jacobi_2d
 from repro.store import CRASH_ENV, SearchCheckpoint
@@ -131,28 +133,18 @@ class TestScreenBatch:
         budget = _budget()
         engine = CandidateEvaluator()
         feasible, bounds, bram = engine.screen_batch(designs, budget)
-        scalar = CandidateEvaluator(vectorize=False)
-        s_feasible, s_bounds, s_bram = scalar.screen_batch(
-            designs, budget
-        )
-        assert feasible == s_feasible
-        assert bounds == s_bounds
-        assert bram == s_bram
-        for design, ok in zip(designs, feasible):
-            total = scalar.resources(design).total
-            assert ok == total.fits_within(budget.limit)
+        totals = [ResourceEstimator().estimate(d).total for d in designs]
+        assert feasible == [t.fits_within(budget.limit) for t in totals]
+        assert bounds == [engine.lower_bound(d) for d in designs]
+        assert bram == [t.bram18 for t in totals]
 
     def test_does_not_grow_the_memo(self, small_jacobi2d):
         designs = _mixed_candidates(
             small_jacobi2d, _space(small_jacobi2d)
         )
-        for engine in (
-            CandidateEvaluator(),
-            CandidateEvaluator(vectorize=False),
-        ):
-            before = len(engine._results)
-            engine.screen_batch(designs, _budget())
-            assert len(engine._results) == before
+        engine = CandidateEvaluator()
+        engine.screen_batch(designs, _budget())
+        assert engine.cache_size() == 0
 
 
 class TestSearchFrontier:
@@ -232,11 +224,11 @@ class TestDriverEquivalence:
             small_jacobi2d, _space(small_jacobi2d)
         )
         budget = _budget()
-        reference = CandidateEvaluator(prune=False).explore(
+        reference = CandidateEvaluator().explore(
             designs, budget
         )
         driver = SearchDriver(
-            evaluator=CandidateEvaluator(prune=False),
+            evaluator=CandidateEvaluator(),
             chunk_size=chunk_size,
             screen=screen,
         )
@@ -249,34 +241,32 @@ class TestDriverEquivalence:
                 pareto_front(list(reference.candidates))
             )
 
-    def test_scalar_screen_fallback_matches(self, small_jacobi2d):
+    def test_scalar_screen_fallback_matches(
+        self, small_jacobi2d, monkeypatch
+    ):
         designs = _mixed_candidates(
             small_jacobi2d, _space(small_jacobi2d)
         )
         budget = _budget()
         vectorized = SearchDriver(
-            evaluator=CandidateEvaluator(prune=False), chunk_size=16
+            evaluator=CandidateEvaluator(), chunk_size=16
         ).run(iter(designs), budget)
+
+        def out_of_range(*_args, **_kwargs):
+            raise BatchRangeError("forced scalar screen")
+
+        # Tier 0 falls back to the scalar estimator and bound when the
+        # batch bound refuses a chunk; Tier-1 scoring is unaffected.
+        monkeypatch.setattr(
+            evaluator_module, "lower_bound_batch", out_of_range
+        )
         scalar = SearchDriver(
-            evaluator=CandidateEvaluator(prune=False, vectorize=False),
-            chunk_size=16,
+            evaluator=CandidateEvaluator(), chunk_size=16
         ).run(iter(designs), budget)
         _assert_same_best(vectorized, scalar)
         assert _signature_view(vectorized.frontier) == _signature_view(
             scalar.frontier
         )
-
-    def test_pruned_serial_engine_same_best(self, small_jacobi2d):
-        designs = _mixed_candidates(
-            small_jacobi2d, _space(small_jacobi2d)
-        )
-        budget = _budget()
-        reference = CandidateEvaluator().explore(designs, budget)
-        driver = SearchDriver(
-            evaluator=CandidateEvaluator(prune=True), chunk_size=16
-        )
-        result = driver.run(iter(designs), budget)
-        _assert_same_best(result, reference)
 
     def test_no_feasible_design_raises(self, small_jacobi2d):
         design = make_baseline_design(
@@ -292,7 +282,7 @@ class TestDriverEquivalence:
             small_jacobi2d, _space(small_jacobi2d)
         )
         driver = SearchDriver(
-            evaluator=CandidateEvaluator(prune=False), chunk_size=16
+            evaluator=CandidateEvaluator(), chunk_size=16
         )
         driver.run(iter(designs), _budget())
         report = driver.report
@@ -316,7 +306,7 @@ class TestDriverEquivalence:
 class TestCheckpointResume:
     def _driver(self, checkpoint, **kw):
         return SearchDriver(
-            evaluator=CandidateEvaluator(prune=False),
+            evaluator=CandidateEvaluator(),
             chunk_size=kw.pop("chunk_size", 16),
             checkpoint=checkpoint,
             search_key=kw.pop("search_key", "test"),
@@ -331,7 +321,7 @@ class TestCheckpointResume:
         )
         budget = _budget()
         reference = SearchDriver(
-            evaluator=CandidateEvaluator(prune=False), chunk_size=16
+            evaluator=CandidateEvaluator(), chunk_size=16
         ).run(iter(designs), budget)
         path = tmp_path / "search.jsonl"
         # "Interrupt" after three chunks by truncating the stream.
@@ -415,7 +405,7 @@ class TestCheckpointResume:
             "space = DesignSpace.default(spec, (2, 2))\n"
             f"with SearchCheckpoint({str(path)!r}) as ck:\n"
             "    driver = SearchDriver(\n"
-            "        evaluator=CandidateEvaluator(prune=False),\n"
+            "        evaluator=CandidateEvaluator(),\n"
             "        chunk_size=8, checkpoint=ck, search_key='kill')\n"
             "    driver.run(\n"
             "        baseline_candidates(space),\n"
@@ -446,7 +436,7 @@ class TestCheckpointResume:
         budget = _budget()
         with SearchCheckpoint(path) as ck:
             resumed = SearchDriver(
-                evaluator=CandidateEvaluator(prune=False),
+                evaluator=CandidateEvaluator(),
                 chunk_size=8,
                 checkpoint=ck,
                 search_key="kill",
@@ -454,7 +444,7 @@ class TestCheckpointResume:
             result = resumed.run(baseline_candidates(space), budget)
         assert resumed.report.replayed_chunks == 3
         fresh = SearchDriver(
-            evaluator=CandidateEvaluator(prune=False), chunk_size=8
+            evaluator=CandidateEvaluator(), chunk_size=8
         ).run(baseline_candidates(space), budget)
         _assert_same_best(result, fresh)
         assert _signature_view(result.frontier) == _signature_view(
@@ -471,14 +461,14 @@ class TestSharding:
             small_jacobi2d, _space(small_jacobi2d)
         )
         budget = _budget()
-        reference = CandidateEvaluator(prune=False).explore(
+        reference = CandidateEvaluator().explore(
             designs, budget
         )
         partials = []
         streamed = 0
         for index in range(shards):
             driver = SearchDriver(
-                evaluator=CandidateEvaluator(prune=False),
+                evaluator=CandidateEvaluator(),
                 chunk_size=8,
                 screen="pareto",
                 shard=(index, shards),
@@ -502,9 +492,9 @@ class TestOptimizerIntegration:
     def spec(self):
         return jacobi_2d(grid=(64, 64), iterations=16)
 
-    def _tiered(self, chunk_size=16, **kw):
+    def _tiered(self, chunk_size=16):
         return SearchDriver(
-            evaluator=CandidateEvaluator(prune=False, **kw),
+            evaluator=CandidateEvaluator(),
             chunk_size=chunk_size,
         )
 
@@ -547,7 +537,7 @@ class TestOptimizerIntegration:
         budget = _budget()
         reference = pareto_explore(designs, budget)
         driver = SearchDriver(
-            evaluator=CandidateEvaluator(prune=False),
+            evaluator=CandidateEvaluator(),
             chunk_size=16,
             screen="pareto",
         )
@@ -583,7 +573,7 @@ class TestOptimizerIntegration:
             budget,
             objectives=objectives,
             driver=SearchDriver(
-                evaluator=CandidateEvaluator(prune=False),
+                evaluator=CandidateEvaluator(),
                 chunk_size=16,
                 screen=None,
             ),
@@ -600,12 +590,10 @@ def search_scenario(draw):
     max_depth = draw(st.integers(min_value=1, max_value=iterations))
     chunk_size = draw(st.sampled_from([1, 3, 8, 64, 1000]))
     screen = draw(st.sampled_from([None, "latency", "pareto"]))
-    prune = draw(st.booleans())
-    vectorize = draw(st.booleans())
     resume_at = draw(st.integers(min_value=0, max_value=3))
     return (
         grid, iterations, counts, max_depth, chunk_size, screen,
-        prune, vectorize, resume_at,
+        resume_at,
     )
 
 
@@ -615,7 +603,7 @@ class TestTieredSearchProperty:
     def test_tiered_matches_exhaustive(self, scenario):
         (
             grid, iterations, counts, max_depth, chunk_size, screen,
-            prune, vectorize, resume_at,
+            resume_at,
         ) = scenario
         spec = jacobi_2d(grid=grid, iterations=iterations)
         space = DesignSpace.default(
@@ -623,23 +611,19 @@ class TestTieredSearchProperty:
         )
         designs = _mixed_candidates(spec, space)
         budget = _budget()
-        reference = CandidateEvaluator(prune=False).explore(
+        reference = CandidateEvaluator().explore(
             designs, budget
         )
         driver = SearchDriver(
-            evaluator=CandidateEvaluator(
-                prune=prune, vectorize=vectorize
-            ),
+            evaluator=CandidateEvaluator(),
             chunk_size=chunk_size,
             screen=screen,
         )
         result = driver.run(iter(designs), budget)
         _assert_same_best(result, reference)
-        if not prune and screen != "latency":
-            # Frontier parity needs every feasible design scored
-            # (pruning Tier-1 engines drop band points) and a
-            # frontier-preserving screen (the latency screen keeps
-            # only the optimum) — both documented.
+        if screen != "latency":
+            # Frontier parity needs a frontier-preserving screen (the
+            # latency screen keeps only the optimum) — documented.
             assert _signature_view(
                 result.frontier
             ) == _signature_view(pareto_front(list(reference.candidates)))
@@ -649,7 +633,7 @@ class TestTieredSearchProperty:
     def test_interrupt_and_resume_matches(self, tmp_path_factory, scenario):
         (
             grid, iterations, counts, max_depth, chunk_size, screen,
-            _prune, vectorize, resume_at,
+            resume_at,
         ) = scenario
         spec = jacobi_2d(grid=grid, iterations=iterations)
         space = DesignSpace.default(
@@ -661,9 +645,7 @@ class TestTieredSearchProperty:
 
         def driver(ck):
             return SearchDriver(
-                evaluator=CandidateEvaluator(
-                    prune=False, vectorize=vectorize
-                ),
+                evaluator=CandidateEvaluator(),
                 chunk_size=chunk_size,
                 screen=screen,
                 checkpoint=ck,
@@ -685,9 +667,7 @@ class TestTieredSearchProperty:
             (len(designs) + chunk_size - 1) // chunk_size,
         )
         reference = SearchDriver(
-            evaluator=CandidateEvaluator(
-                prune=False, vectorize=vectorize
-            ),
+            evaluator=CandidateEvaluator(),
             chunk_size=chunk_size,
             screen=screen,
         ).run(iter(designs), budget)

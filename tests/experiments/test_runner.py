@@ -26,6 +26,15 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["figure9"])
 
+    @pytest.mark.parametrize("command", ["optimize", "simulate", "codegen"])
+    def test_unknown_benchmark_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--benchmark", "nope"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "'nope'" in err
+        assert "jacobi-1d" in err and "fdtd-3d" in err
+
     def test_simulate_tool(self, capsys):
         assert main(["simulate", "--benchmark", "jacobi-1d"]) == 0
         out = capsys.readouterr().out

@@ -66,7 +66,7 @@ class TestMetricsOut:
         report = json.loads(metrics_path.read_text())
         derived = report["derived"]
         assert 0.0 <= derived["dse.cache_hit_rate"] <= 1.0
-        assert 0.0 <= derived["dse.prune_rate"] <= 1.0
+        assert 0.0 <= derived["dse.infeasible_rate"] <= 1.0
         predict = report["metrics"]["histograms"]["model.predict"]
         assert predict["count"] > 0
         assert predict["p50"] <= predict["p90"] <= predict["p99"]

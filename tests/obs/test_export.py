@@ -112,12 +112,10 @@ class TestRunReport:
         obs.enable()
         obs.inc("dse.candidates", 10)
         obs.inc("dse.cache_hits", 3)
-        obs.inc("dse.pruned", 2)
         obs.inc("dse.infeasible", 1)
         report = obs.run_report()
         assert report["schema"] == obs.REPORT_SCHEMA
         assert report["derived"]["dse.cache_hit_rate"] == 0.3
-        assert report["derived"]["dse.prune_rate"] == 0.2
         assert report["derived"]["dse.infeasible_rate"] == 0.1
 
     def test_span_aggregates(self):

@@ -154,7 +154,7 @@ class TestThreadSafety:
         assert summary["max"] == 3999.0
 
     def test_evaluator_thread_pool_feeds_exact_counters(self):
-        """The engine's parallel path must not drop counter updates."""
+        """Threads sharing one engine must not drop counter updates."""
         from repro.dse import CandidateEvaluator, ResourceBudget
         from repro.fpga.resources import VIRTEX7_690T
         from repro.stencil import jacobi_2d
@@ -166,16 +166,22 @@ class TestThreadSafety:
         candidates = [
             base.with_fused_depth(h) for h in range(1, 9)
         ] * 3  # repeats exercise the cache-hit path concurrently
-        engine = CandidateEvaluator(max_workers=4)
-        result = engine.explore(candidates, ResourceBudget.from_device(VIRTEX7_690T))
+        engine = CandidateEvaluator()
+        budget = ResourceBudget.from_device(VIRTEX7_690T)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(
+                pool.map(
+                    lambda _: engine.explore(candidates, budget), range(4)
+                )
+            )
         counters = obs.get_registry().report()["counters"]
-        assert counters["dse.candidates"] == len(candidates)
-        assert counters["dse.candidates"] == result.stats.candidates
-        assert counters["dse.evaluated"] == result.stats.evaluated
-        assert counters["dse.cache_hits"] == result.stats.cache_hits
+        assert counters["dse.candidates"] == 4 * len(candidates)
+        assert counters["dse.candidates"] == engine.stats.candidates
+        assert counters["dse.evaluated"] == engine.stats.evaluated
+        assert counters["dse.cache_hits"] == engine.stats.cache_hits
         assert (
             counters["dse.evaluated"] + counters["dse.cache_hits"]
-            == len(candidates)
+            == 4 * len(candidates)
         )
 
 

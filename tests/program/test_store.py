@@ -80,3 +80,62 @@ def test_memo_hits_on_reevaluation():
     assert engine.cache_size() == len(designs)
     engine.clear_cache()
     assert engine.cache_size() == 0
+
+
+class _CountingStore(DesignStore):
+    """A design store that counts lookups and writes, by design kind."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.calls = {"lookup": [], "record": []}
+
+    def lookup_design(self, design, context):
+        self.calls["lookup"].append(type(design).__name__)
+        return super().lookup_design(design, context)
+
+    def record_design(self, design, context, cycles=None, resources=None):
+        self.calls["record"].append(type(design).__name__)
+        return super().record_design(
+            design, context, cycles=cycles, resources=resources
+        )
+
+
+@pytest.mark.parametrize("tiered", [False, True])
+@pytest.mark.parametrize(
+    "name, grid, iterations, candidates",
+    [
+        ("fdtd-two-field", (128, 128), 2, 144),
+        ("blur-sobel-threshold", (256, 256), 1, 864),
+    ],
+)
+def test_program_search_store_traffic(
+    tmp_path, tiered, name, grid, iterations, candidates
+):
+    """One lookup and one write per composed candidate, none per stage."""
+    from repro.api import synthesize
+    from repro.dse import CandidateEvaluator, SearchDriver
+    from repro.program import get_program
+
+    program = get_program(name, grid=grid, iterations=iterations)
+    with _CountingStore(tmp_path / "store") as store:
+        engine = ProgramEvaluator(
+            stage_engine=CandidateEvaluator(store=store)
+        )
+        if tiered:
+            result = synthesize(
+                program=program,
+                schedule="timeshared",
+                driver=SearchDriver(evaluator=engine, screen="latency"),
+                emit=False,
+            )
+        else:
+            result = synthesize(
+                program=program,
+                schedule="timeshared",
+                evaluator=engine,
+                emit=False,
+            )
+        assert result.dse.evaluated == candidates
+        assert store.calls["lookup"] == ["ProgramDesign"] * candidates
+        assert store.calls["record"] == ["ProgramDesign"] * candidates
+        assert store.writes == candidates

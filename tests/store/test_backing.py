@@ -1,6 +1,7 @@
 """Tests for the content-addressed design store and its evaluator wiring."""
 
 import dataclasses
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -269,11 +270,11 @@ class TestEvaluatorIntegration:
             assert warm.predict_cycles(design) == expected
             assert warm.stats.store_hits == 1
             assert warm.stats.evaluated == 0
-            # Second call is a plain memo hit?  No: store-served
-            # predictions stay store-backed (the model cache has no
-            # value for them), so the store answers again.
+            # The store-served result entered the memo, which answers
+            # the second call.
             assert warm.predict_cycles(design) == expected
             assert warm.stats.evaluated == 0
+            assert warm.stats.cache_hits == 1
 
     def test_parallel_batch_writes_through_consistently(
         self, tmp_path, design, budget
@@ -281,8 +282,14 @@ class TestEvaluatorIntegration:
         candidates = self._candidates(design) * 2
         root = tmp_path / "s"
         with DesignStore(root) as store:
-            parallel = CandidateEvaluator(store=store, max_workers=4)
-            parallel.explore(candidates, budget)
+            shared = CandidateEvaluator(store=store)
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(
+                    pool.map(
+                        lambda _: shared.explore(candidates, budget),
+                        range(4),
+                    )
+                )
         serial = CandidateEvaluator()
         expected = serial.explore(candidates, budget)
         with DesignStore(root) as store:
