@@ -19,11 +19,12 @@ import time
 from typing import Dict, List, Tuple
 
 from repro.service import (
+    Job,
     JobRequest,
     JobState,
     ShardedSynthesisService,
     SynthesisService,
-    make_async_server,
+    make_server,
 )
 from repro.store import DesignStore
 
@@ -243,26 +244,23 @@ POLL_CLIENTS = 256
 POLLS_EACH = 20
 
 
-def test_async_frontend_polling_fanin(benchmark, record):
-    """256 concurrent pollers against the asyncio front door.
+def test_front_door_polling_fanin(benchmark, record):
+    """256 concurrent pollers against the HTTP front door.
 
     Every client holds one keep-alive connection and performs a fixed
-    number of status polls while the workers chew on CPU-bound jobs;
-    the run passes only if every poll response parses AND the jobs
-    still finish under full polling load — fan-in served by the event
-    loop, workers never starved.
+    number of status polls.  The CPU-bound jobs they poll are submitted
+    only once every poller is at the start line, so the workers run
+    them under full polling load; the run passes only if every poll
+    response parses AND the jobs still finish — fan-in served, workers
+    never starved.
     """
     service = SynthesisService(workers=2)
-    door = make_async_server(service, port=0)
-    host, port = door.server_address
+    server = make_server(service, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    host, port = server.server_address[:2]
     try:
-        # Two joint-DSE jobs (~seconds each): real work for the
-        # pollers to overlap with.
-        jobs = [
-            service.submit(JobRequest(**spec))[0]
-            for spec in SHARD_JOBS[:2]
-        ]
-        job_ids = [job.id for job in jobs]
+        jobs: List[Job] = []
+        submitted = threading.Event()
         polls: List[int] = []
         errors: List[str] = []
         lock = threading.Lock()
@@ -273,9 +271,11 @@ def test_async_frontend_polling_fanin(benchmark, record):
             count = 0
             start_line.wait()
             try:
+                if not submitted.wait(WAIT_S):
+                    raise AssertionError("jobs were never submitted")
                 for _ in range(POLLS_EACH):
                     conn.request(
-                        "GET", f"/jobs/{job_ids[index % len(job_ids)]}"
+                        "GET", f"/jobs/{jobs[index % len(jobs)].id}"
                     )
                     reply = conn.getresponse()
                     payload = json.loads(reply.read())
@@ -302,8 +302,15 @@ def test_async_frontend_polling_fanin(benchmark, record):
         def jobs_under_load() -> float:
             start_line.wait()
             begin = time.perf_counter()
-            for job_id in job_ids:
-                service.wait(job_id, timeout=WAIT_S)
+            # Two joint-DSE jobs (~seconds each): real work for the
+            # pollers to overlap with.
+            jobs.extend(
+                service.submit(JobRequest(**spec))[0]
+                for spec in SHARD_JOBS[:2]
+            )
+            submitted.set()
+            for job in jobs:
+                service.wait(job.id, timeout=WAIT_S)
             return time.perf_counter() - begin
 
         try:
@@ -311,6 +318,7 @@ def test_async_frontend_polling_fanin(benchmark, record):
                 jobs_under_load, rounds=1, iterations=1
             )
         finally:
+            submitted.set()  # release the pollers if submission failed
             for thread in threads:
                 thread.join(120)
         assert not errors, errors[:5]
@@ -321,12 +329,13 @@ def test_async_frontend_polling_fanin(benchmark, record):
         assert min(polls) == POLLS_EACH
         record(
             "Service",
-            f"async front door: {POLL_CLIENTS} concurrent pollers x "
+            f"HTTP front door: {POLL_CLIENTS} concurrent pollers x "
             f"{POLLS_EACH} polls ({sum(polls)} answered) while "
-            f"{len(job_ids)} jobs finished in {drain_wall:.2f}s",
+            f"{len(jobs)} jobs finished in {drain_wall:.2f}s",
         )
     finally:
-        door.shutdown()
+        server.shutdown()
+        server.server_close()
         service.shutdown(drain=True, timeout=WAIT_S)
 
 

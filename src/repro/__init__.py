@@ -7,8 +7,8 @@ The package implements the paper's full stack from scratch:
   (the Table 2 suite and more) with a golden numpy reference.
 - :mod:`repro.frontend` — an OpenCL-C subset parser + feature extractor.
 - :mod:`repro.opencl` / :mod:`repro.fpga` — the OpenCL-on-FPGA machine
-  model: board, NDRange, pipes, burst memory, resources, BRAM packing,
-  and a FlexCL-style II estimator.
+  model: board, pipes, burst memory, resources, BRAM packing, and a
+  FlexCL-style II estimator.
 - :mod:`repro.tiling` — the paper's architecture layer: overlapped
   baseline tiling, pipe-shared tiling, and workload-balanced
   heterogeneous tiling.

@@ -22,7 +22,6 @@ Service (synthesis-as-a-service, see ``docs/SERVICE.md``)::
     python -m repro.experiments serve  [--host H] [--port P]
                                        [--workers N] [--queue-depth D]
                                        [--worker-processes N]
-                                       [--frontend threaded|async]
                                        [--store DIR]
     python -m repro.experiments submit --url http://H:P
                                        --benchmark jacobi-2d
@@ -330,7 +329,6 @@ def _cmd_serve(args, session: _StoreSession) -> List[str]:
     from repro.service import (
         ShardedSynthesisService,
         SynthesisService,
-        make_async_server,
         make_server,
     )
 
@@ -378,15 +376,11 @@ def _cmd_serve(args, session: _StoreSession) -> List[str]:
         )
         workers_desc = f"{args.workers} workers"
         store_attached = session.store is not None
-    if args.frontend == "async":
-        server = make_async_server(service, host=args.host, port=args.port)
-    else:
-        server = make_server(service, host=args.host, port=args.port)
+    server = make_server(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(
         f"repro synthesis service listening on http://{host}:{port} "
-        f"({workers_desc}, {args.frontend} frontend, "
-        f"queue depth {args.queue_depth}, "
+        f"({workers_desc}, queue depth {args.queue_depth}, "
         f"store {'attached' if store_attached else 'none'}, "
         f"telemetry "
         f"{telemetry_path if telemetry_path else 'none'})",
@@ -594,16 +588,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "'serve': shard the service across N worker processes "
             "(one warm evaluator each, coordinating through the "
             "shared --store); 0 keeps the in-process thread pool"
-        ),
-    )
-    parser.add_argument(
-        "--frontend",
-        choices=("threaded", "async"),
-        default="threaded",
-        help=(
-            "'serve' HTTP frontend: 'threaded' (one thread per "
-            "connection) or 'async' (one event loop; use for large "
-            "polling fan-in)"
         ),
     )
     parser.add_argument(

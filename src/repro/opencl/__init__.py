@@ -1,35 +1,20 @@
 """OpenCL-on-FPGA machine model.
 
 Models the pieces of the OpenCL execution stack the paper's framework
-relies on: the board/platform description, the NDRange hierarchy,
-OpenCL 2.0 pipes, burst global-memory transfers, and a small host
-runtime emulation used by the functional executor and examples.
+relies on: the board/platform description, OpenCL 2.0 pipes, and
+burst global-memory transfer accounting.
 """
 
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
-from repro.opencl.ndrange import NDRange, WorkGroup
 from repro.opencl.pipes import Pipe, PipeClosed, PipeEmpty, PipeFull
-from repro.opencl.memory import BurstModel, transfer_cycles
-from repro.opencl.runtime import (
-    CommandQueue,
-    HostRuntime,
-    KernelInstance,
-    LaunchRecord,
-)
+from repro.opencl.memory import transfer_cycles
 
 __all__ = [
     "ADM_PCIE_7V3",
     "BoardSpec",
-    "NDRange",
-    "WorkGroup",
     "Pipe",
     "PipeClosed",
     "PipeEmpty",
     "PipeFull",
-    "BurstModel",
     "transfer_cycles",
-    "CommandQueue",
-    "HostRuntime",
-    "KernelInstance",
-    "LaunchRecord",
 ]

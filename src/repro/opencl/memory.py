@@ -3,15 +3,12 @@
 The paper's model (Eqs. 4–6) assumes reads and writes are done in burst
 mode coupled with work-group barriers: data for one work-group is
 bundled, the transfer coalesces, and when ``K`` kernels run
-simultaneously the bandwidth is shared evenly among them.  This module
-provides that arithmetic to both the analytical model and the
-simulator.
+simultaneously the bandwidth is shared evenly among them.
+:func:`transfer_cycles` is that arithmetic; the simulator's memory
+system (:mod:`repro.sim.memsys`) builds on it.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 from repro.errors import SpecificationError
 from repro.opencl.platform import BoardSpec
@@ -50,32 +47,3 @@ def transfer_cycles(
     )
     return size_bytes * sharing_kernels / per_cycle
 
-
-@dataclass(frozen=True)
-class BurstModel:
-    """Burst-transfer model bound to one board and sharing degree."""
-
-    board: BoardSpec
-    sharing_kernels: int = 1
-
-    def read_cycles(self, size_bytes: float) -> float:
-        """Cycles for a burst read of ``size_bytes``."""
-        return transfer_cycles(size_bytes, self.board, self.sharing_kernels)
-
-    def write_cycles(self, size_bytes: float) -> float:
-        """Cycles for a burst write of ``size_bytes``."""
-        return transfer_cycles(size_bytes, self.board, self.sharing_kernels)
-
-    def roundtrip_cycles(
-        self, read_bytes: float, write_bytes: float
-    ) -> float:
-        """Read + write latency for one region (Eq. 4)."""
-        return self.read_cycles(read_bytes) + self.write_cycles(write_bytes)
-
-    def bursts_needed(self, size_bytes: float, burst_bytes: int = 4096) -> int:
-        """Number of AXI bursts for a payload (diagnostics only)."""
-        if burst_bytes <= 0:
-            raise SpecificationError(
-                f"burst_bytes must be positive: {burst_bytes}"
-            )
-        return math.ceil(size_bytes / burst_bytes)

@@ -6,7 +6,8 @@ pool sharing one warm :class:`~repro.dse.evaluator.CandidateEvaluator`
 (and, optionally, a persistent :class:`~repro.store.DesignStore`),
 request dedup/coalescing on content signatures, per-job timeouts,
 cancellation, bounded retry, and graceful drain shutdown — exposed
-over a stdlib HTTP JSON API with a small blocking client.
+over one threaded stdlib HTTP JSON API (:mod:`repro.service.http`)
+with a small blocking client.
 
 Start one in-process::
 
@@ -22,7 +23,6 @@ with :class:`~repro.service.client.ServiceClient` or curl.  Full API
 and lifecycle semantics: ``docs/SERVICE.md``.
 """
 
-from repro.service.aserver import AsyncFrontDoor, make_async_server
 from repro.service.client import JobFailedError, ServiceClient
 from repro.service.core import (
     DEFAULT_TRANSIENT,
@@ -43,7 +43,6 @@ from repro.service.routes import Response, handle_request
 from repro.service.shard import ShardedSynthesisService
 
 __all__ = [
-    "AsyncFrontDoor",
     "DEFAULT_TRANSIENT",
     "Job",
     "JobFailedError",
@@ -57,7 +56,6 @@ __all__ = [
     "ShardedSynthesisService",
     "SynthesisService",
     "handle_request",
-    "make_async_server",
     "make_server",
     "program_result_payload",
     "result_payload",

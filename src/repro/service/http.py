@@ -32,22 +32,36 @@ request into the job, so the spans the job produces carry the
 client's trace id end to end.
 
 All route logic lives in :mod:`repro.service.routes`; this module is
-only the :class:`http.server.ThreadingHTTPServer` binding of it.  The
-asyncio binding (:mod:`repro.service.aserver`) shares the same router,
-so responses are byte-identical across the two front doors.
+the :class:`http.server.ThreadingHTTPServer` binding of it, plus the
+transport guarantees a router cannot give:
+
+- a listen backlog of :data:`LISTEN_BACKLOG`, so hundreds of pollers
+  can connect at once;
+- a body cap: a ``Content-Length`` above :data:`MAX_BODY_BYTES` is
+  answered ``413`` before any of the body is read;
+- a JSON ``400`` with an ``HTTP/1.1`` status line for a malformed
+  request line or a ``Content-Length`` that is not a non-negative
+  integer (``http.server`` alone answers a bad request line with an
+  HTML page and no status line).
+
+Each of these error replies closes the connection.  A client hanging
+up mid-request or mid-reply is counted, never a traceback.
 """
 
 from __future__ import annotations
 
 import pathlib
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Tuple
+from typing import Optional, Tuple
 
 from repro import obs
 from repro.service.core import SynthesisService
 from repro.service.routes import Response, handle_request, to_json_bytes
 
 __all__ = [
+    "LISTEN_BACKLOG",
+    "MAX_BODY_BYTES",
     "ServiceHTTPServer",
     "make_server",
     "to_json_bytes",
@@ -55,6 +69,12 @@ __all__ = [
 ]
 
 _log = obs.get_logger("service.http")
+
+#: Accept-queue depth (``socketserver`` defaults to 5, which drops
+#: connects from a burst of a few hundred pollers).
+LISTEN_BACKLOG = 1024
+#: Hard cap on one request body, bytes (kernel sources are small).
+MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -72,39 +92,67 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args) -> None:
         _log.debug("%s %s", self.address_string(), fmt % args)
 
-    def _dispatch(self, method: str) -> None:
-        body = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length", 0) or 0)
-            body = self.rfile.read(length) if length else b""
-        response = handle_request(
-            self.service, method, self.path, self.headers, body
-        )
-        self._send(response)
-
-    def _send(self, response: Response) -> None:
+    def handle(self) -> None:
         try:
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(response.body)))
-            if response.retry_after_s is not None:
-                self.send_header(
-                    "Retry-After",
-                    str(max(1, int(round(response.retry_after_s)))),
-                )
-            self.end_headers()
-            self.wfile.write(response.body)
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-reply (poll loops do).  Not a
-            # server error: count it, drop the connection, and above
-            # all don't let the handler thread dump a raw traceback.
+            super().handle()
+        except ConnectionError:
+            # The client hung up mid-request or mid-reply (poll loops
+            # do).  Not a server error: count it, drop the connection,
+            # and above all don't let the handler thread dump a raw
+            # traceback.
             obs.inc("service.http.client_disconnects")
-            _log.debug(
-                "client %s disconnected mid-reply",
-                self.address_string(),
+            _log.debug("client %s disconnected", self.address_string())
+
+    def send_error(self, code: int, message=None, explain=None) -> None:
+        """Answer a request rejected before routing: JSON, then close.
+
+        ``http.server`` calls this for requests it cannot parse; on a
+        malformed request line it would answer HTTP/0.9-style, with no
+        status line at all.
+        """
+        self.request_version = self.protocol_version
+        error = message or HTTPStatus(code).phrase
+        self._send(
+            Response(int(code), to_json_bytes({"error": error})), close=True
+        )
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body, or ``None`` once an error reply went out."""
+        raw = self.headers.get("Content-Length", "0")
+        text = raw.strip()
+        if not (text.isascii() and text.isdigit()):
+            self.send_error(400, f"invalid Content-Length: {raw!r}")
+            return None
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            self.send_error(
+                413, f"body too large: {length} > {MAX_BODY_BYTES} bytes"
             )
-            self.close_connection = True
-            return
+            return None
+        return self.rfile.read(length)
+
+    def _dispatch(self, method: str) -> None:
+        body = self._read_body()
+        if body is not None:
+            self._send(
+                handle_request(
+                    self.service, method, self.path, self.headers, body
+                )
+            )
+
+    def _send(self, response: Response, close: bool = False) -> None:
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self.send_header("Content-Length", str(len(response.body)))
+        if response.retry_after_s is not None:
+            self.send_header(
+                "Retry-After",
+                str(max(1, int(round(response.retry_after_s)))),
+            )
+        if close:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(response.body)
         obs.inc(f"service.http.{response.status}")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib interface
@@ -121,6 +169,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     """Threading HTTP server carrying its service instance."""
 
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, address: Tuple[str, int], service: SynthesisService):
         super().__init__(address, _Handler)

@@ -1,12 +1,10 @@
 """Transport-agnostic routing core of the service's JSON API.
 
-Both HTTP front doors — the threaded
-:class:`~repro.service.http.ServiceHTTPServer` and the asyncio
-:class:`~repro.service.aserver.AsyncFrontDoor` — delegate every
-request to :func:`handle_request`, so route behavior, status-code
-mapping, and (critically) the byte encoding of result payloads live in
-exactly one place.  A request answered by either transport produces
-the same bytes.
+The HTTP front door (:class:`~repro.service.http.ServiceHTTPServer`)
+delegates every parsed request to :func:`handle_request`, so route
+behavior, status-code mapping, and (critically) the byte encoding of
+result payloads live in exactly one place, and tests can drive the
+whole API without a socket.
 
 Status codes are chosen by **exception type**, never by service state:
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SpecificationError
-from repro.opencl.memory import BurstModel, transfer_cycles
+from repro.opencl.memory import transfer_cycles
 from repro.opencl.platform import ADM_PCIE_7V3
 
 
@@ -39,19 +39,3 @@ class TestTransferCycles:
         cycles = transfer_cycles(5440, ADM_PCIE_7V3)
         assert cycles == pytest.approx(100.0)
 
-
-class TestBurstModel:
-    def test_roundtrip_is_read_plus_write(self):
-        model = BurstModel(ADM_PCIE_7V3, sharing_kernels=4)
-        assert model.roundtrip_cycles(1000, 500) == pytest.approx(
-            model.read_cycles(1000) + model.write_cycles(500)
-        )
-
-    def test_bursts_needed(self):
-        model = BurstModel(ADM_PCIE_7V3)
-        assert model.bursts_needed(8192, burst_bytes=4096) == 2
-        assert model.bursts_needed(1, burst_bytes=4096) == 1
-
-    def test_bursts_needed_invalid(self):
-        with pytest.raises(SpecificationError):
-            BurstModel(ADM_PCIE_7V3).bursts_needed(1, burst_bytes=0)

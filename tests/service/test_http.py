@@ -2,15 +2,21 @@
 
 Includes the acceptance flows: byte-identical repeat results, overload
 (429 + Retry-After), and a server restart answering from the persistent
-store without re-running the model.
+store without re-running the model; and the front door's transport:
+keep-alive, concurrent pollers, disconnects, and prompt 4xx replies to
+requests it cannot take.
 """
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
+import socket
 import threading
+import time
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -61,6 +67,11 @@ def served():
 def _get_raw(client: ServiceClient, path: str):
     with urllib.request.urlopen(client.base_url + path, timeout=10) as r:
         return r.status, r.read()
+
+
+def _address(client: ServiceClient):
+    url = urllib.parse.urlsplit(client.base_url)
+    return url.hostname, url.port
 
 
 class TestRoutes:
@@ -146,6 +157,147 @@ class TestRoutes:
         assert metrics["service"]["completed"] == 1
         assert "evaluator" in metrics
         assert metrics["schema"].startswith("repro.run_report")
+
+
+#: How long a request the door must reject may take to be answered.
+REPLY_S = 5.0
+
+
+def _assert_rejected(client: ServiceClient, request: bytes, status: int):
+    """Send raw bytes; expect one JSON error reply, then a close."""
+    with socket.create_connection(_address(client), timeout=REPLY_S) as raw:
+        raw.sendall(request)
+        reply = b""
+        while chunk := raw.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(f"HTTP/1.1 {status} ".encode()), reply
+    assert b"Connection: close" in head
+    assert "error" in json.loads(body)
+    # One bad request costs the server nothing lasting.
+    assert client.health()["status"] == "ok"
+
+
+class TestTransport:
+    """Connection handling of the threaded front door."""
+
+    def test_keep_alive_serves_many_requests_per_connection(self, served):
+        service, client = served(pipeline=echo_pipeline)
+        job, _ = service.submit(JobRequest(benchmark="jacobi-2d"))
+        service.wait(job.id, timeout=WAIT_S)
+        conn = http.client.HTTPConnection(*_address(client), timeout=10)
+        try:
+            for _ in range(10):
+                conn.request("GET", f"/jobs/{job.id}")
+                reply = conn.getresponse()
+                payload = json.loads(reply.read())
+                assert reply.status == 200
+                assert payload["state"] == "done"
+        finally:
+            conn.close()
+
+    def test_trace_headers_propagate_any_casing(self, served):
+        service, client = served(pipeline=echo_pipeline)
+        trace_id = "ab" * 16  # 32 hex chars, as mint() produces
+        conn = http.client.HTTPConnection(*_address(client), timeout=10)
+        try:
+            conn.request(
+                "POST",
+                "/jobs",
+                body=json.dumps({"benchmark": "jacobi-2d"}).encode(),
+                headers={"x-repro-TRACE-id": trace_id},
+            )
+            reply = conn.getresponse()
+            assert reply.status == 202
+            job_id = json.loads(reply.read())["job"]["id"]
+        finally:
+            conn.close()
+        job = service.job(job_id)
+        assert job.trace is not None
+        assert job.trace.trace_id == trace_id
+
+    def test_oversized_body_413(self, served):
+        # 64 MiB announced, one byte sent: refused on the header alone.
+        _, client = served(pipeline=echo_pipeline)
+        _assert_rejected(
+            client,
+            b"POST /jobs HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 67108864\r\n\r\nx",
+            413,
+        )
+
+    def test_malformed_request_line_400(self, served):
+        _, client = served(pipeline=echo_pipeline)
+        _assert_rejected(client, b"NOT A REQUEST\r\n\r\n", 400)
+
+    @pytest.mark.parametrize("length", [b"abc", b"-1"])
+    def test_bad_content_length_400(self, served, length):
+        _, client = served(pipeline=echo_pipeline)
+        _assert_rejected(
+            client,
+            b"POST /jobs HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n",
+            400,
+        )
+
+    def test_client_disconnect_counted_not_crashed(self, served):
+        obs.enable(capture_events=False)
+        _, client = served(pipeline=echo_pipeline)
+        counter = obs.get_registry().counter(
+            "service.http.client_disconnects"
+        )
+        before = counter.value
+        # Announce a body, then reset the connection instead of
+        # sending it: the server is mid-request when the RST lands.
+        for _ in range(3):
+            with socket.create_connection(
+                _address(client), timeout=10
+            ) as raw:
+                raw.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: 5\r\n\r\n"
+                )
+                raw.setsockopt(
+                    socket.SOL_SOCKET,
+                    socket.SO_LINGER,
+                    b"\x01\x00\x00\x00\x00\x00\x00\x00",
+                )
+        deadline = time.monotonic() + WAIT_S
+        while counter.value < before + 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert counter.value == before + 3
+        # The server is still perfectly healthy afterwards.
+        assert client.health()["status"] == "ok"
+
+    def test_concurrent_pollers(self, served):
+        service, client = served(pipeline=echo_pipeline)
+        job, _ = service.submit(JobRequest(benchmark="jacobi-2d"))
+        service.wait(job.id, timeout=WAIT_S)
+        errors = []
+
+        def poll():
+            try:
+                conn = http.client.HTTPConnection(
+                    *_address(client), timeout=30
+                )
+                for _ in range(5):
+                    conn.request("GET", f"/jobs/{job.id}")
+                    reply = conn.getresponse()
+                    assert reply.status == 200
+                    json.loads(reply.read())
+                conn.close()
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=poll, daemon=True)
+            for _ in range(32)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(WAIT_S)
+        assert not errors
 
 
 class TestOverload:
