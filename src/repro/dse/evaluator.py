@@ -35,7 +35,7 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
@@ -300,20 +300,11 @@ class CandidateEvaluator:
 
     # -- the scoring path ------------------------------------------------------
 
-    def _score(
-        self, designs: Sequence[StencilDesign]
-    ) -> List[Tuple[float, DesignResources]]:
-        """Exact ``(total_cycles, resources)`` per design, in order.
-
-        One pass of the vectorized engines; when any design is outside
-        their exact-parity range (:class:`BatchRangeError`), the scalar
-        model and estimator score the batch instead — same numbers,
-        bitwise.  Touches no memo, store, stats or trace.
-        """
+    def _predict(self, designs: Sequence[StencilDesign]) -> List[float]:
+        """Exact total cycles per design: batch model, scalar fallback."""
         if not designs:
             return []
         try:
-            resources = estimate_batch(designs, flexcl=self.estimator.flexcl)
             prediction = predict_batch(
                 designs,
                 board=self.board,
@@ -321,21 +312,57 @@ class CandidateEvaluator:
                 flexcl=self.model.estimator,
             )
         except BatchRangeError:
-            return [
-                (self.model.predict_cycles(d), self.estimator.estimate(d))
-                for d in designs
-            ]
-        cycles = prediction.total.tolist()
-        return [
-            (cycles[i], resources.design_resources(i))
-            for i in range(len(designs))
-        ]
+            return [self.model.predict_cycles(d) for d in designs]
+        return prediction.total.tolist()
+
+    def _estimate(
+        self, designs: Sequence[StencilDesign]
+    ) -> List[DesignResources]:
+        """Exact resources per design: batch estimator, scalar fallback."""
+        if not designs:
+            return []
+        try:
+            return estimate_batch(
+                designs, flexcl=self.estimator.flexcl
+            ).rows()
+        except BatchRangeError:
+            return [self.estimator.estimate(d) for d in designs]
+
+    def _bounds(self, designs: Sequence[StencilDesign]) -> List[float]:
+        """:meth:`lower_bound` per design: batch bound, scalar fallback."""
+        try:
+            return lower_bound_batch(
+                designs,
+                fidelity=self.fidelity,
+                flexcl=self.model.estimator,
+            ).tolist()
+        except BatchRangeError:
+            return [self.lower_bound(d) for d in designs]
+
+    def _score(
+        self,
+        designs: Sequence[StencilDesign],
+        resources: Optional[Sequence[DesignResources]] = None,
+    ) -> List[Tuple[float, DesignResources]]:
+        """Exact ``(total_cycles, resources)`` per design, in order.
+
+        One pass of the vectorized engines; a batch holding a design
+        outside their exact-parity range (:class:`BatchRangeError`) is
+        scored by the scalar model or estimator instead — same
+        numbers, bitwise.  ``resources``, when given, are the designs'
+        estimates already in hand (Tier-0's), so only the model runs.
+        Touches no memo, store, stats or trace.
+        """
+        if resources is None:
+            resources = self._estimate(designs)
+        return list(zip(self._predict(designs), resources))
 
     def _run_batch(
         self,
         candidates: Sequence[StencilDesign],
         budget: Optional[ResourceBudget],
         stats: EvaluationStats,
+        resources: Optional[Sequence[DesignResources]] = None,
     ) -> List[Optional[EvaluatedDesign]]:
         """Memo, then store, then one :meth:`_score` call, then epilogue.
 
@@ -343,12 +370,13 @@ class CandidateEvaluator:
         answers captured here stay valid for the whole batch even if
         the LRU bound evicts them meanwhile.  ``budget=None`` skips the
         budget check (the :meth:`predict_cycles` / :meth:`resources`
-        lookups).
+        lookups).  ``resources`` (aligned with ``candidates``) spares
+        the fresh designs the resource estimator.
         """
         known: Dict[Tuple, EvaluatedDesign] = {}
         stored: Dict[Tuple, Optional[StoredResult]] = {}
-        fresh: Dict[Tuple, StencilDesign] = {}
-        for design in candidates:
+        fresh: Dict[Tuple, int] = {}  # signature -> first position
+        for j, design in enumerate(candidates):
             sig = design.signature()
             if sig in known or sig in stored:
                 continue
@@ -359,8 +387,17 @@ class CandidateEvaluator:
                 continue
             entry = stored[sig] = self._store_lookup(design)
             if entry is None or not entry.complete:
-                fresh[sig] = design
-        scored = dict(zip(fresh, self._score(list(fresh.values()))))
+                fresh[sig] = j
+        first = list(fresh.values())
+        known_resources = (
+            None if resources is None else [resources[j] for j in first]
+        )
+        scored = dict(
+            zip(
+                fresh,
+                self._score([candidates[j] for j in first], known_resources),
+            )
+        )
         return [
             self._finish(design, budget, stats, known, stored, scored)
             for design in candidates
@@ -404,7 +441,7 @@ class CandidateEvaluator:
             stats.infeasible += 1
             if new_resources:
                 self._store_record(design, resources=resources)
-            self._emit(CandidateTrace(design, "infeasible"))
+            self._emit(design, "infeasible")
             return None
         if entry.cycles is None:
             stats.evaluated += 1
@@ -417,7 +454,7 @@ class CandidateEvaluator:
         result = self._remember(
             sig, EvaluatedDesign(design, cycles, resources), known
         )
-        self._emit(CandidateTrace(design, "evaluated", cycles))
+        self._emit(design, "evaluated", cycles)
         return result
 
     def _remember(
@@ -442,18 +479,28 @@ class CandidateEvaluator:
         """Budget check and trace event for a memo or store answer."""
         if not _fits(result.resources, budget):
             stats.infeasible += 1
-            self._emit(CandidateTrace(design, "infeasible"))
+            self._emit(design, "infeasible")
             return None
-        self._emit(CandidateTrace(design, outcome, result.predicted_cycles))
+        self._emit(design, outcome, result.predicted_cycles)
         return result
 
-    def _emit(self, event: CandidateTrace) -> None:
+    def _emit(
+        self,
+        design: StencilDesign,
+        outcome: str,
+        predicted_cycles: Optional[float] = None,
+    ) -> None:
+        """Send one :class:`CandidateTrace` to the hook, if there is one.
+
+        The event is built only when a hook listens, so untraced
+        scoring creates no per-candidate trace objects.
+        """
         if self.trace is None:
             return
         with self._lock:
             seq = self._emit_seq
             self._emit_seq += 1
-        self.trace(replace(event, seq=seq))
+        self.trace(CandidateTrace(design, outcome, predicted_cycles, seq))
 
     # -- single-design lookups -------------------------------------------------
 
@@ -558,13 +605,16 @@ class CandidateEvaluator:
         self,
         candidates: Sequence[StencilDesign],
         budget: ResourceBudget,
-    ) -> Tuple[List[bool], List[float], List[int]]:
+    ) -> Tuple[List[bool], List[float], List[DesignResources]]:
         """Cheap per-candidate screen data for one chunk.
 
-        Returns ``(feasible, bounds, bram)``: the exact resource-budget
-        verdict, the admissible compute-only latency lower bound (see
-        :meth:`lower_bound` — never exceeds the full prediction), and
-        the exact total BRAM18 count, one entry per candidate.
+        Returns ``(feasible, bounds, resources)``: the exact
+        resource-budget verdict, the admissible compute-only latency
+        lower bound (see :meth:`lower_bound` — never exceeds the full
+        prediction), and the exact resource estimate, one entry per
+        candidate.  The tiered driver hands the estimates of the
+        candidates it promotes to :meth:`evaluate_batch`, so Tier-1
+        does not estimate them again.
 
         The vectorized estimators
         (:func:`~repro.fpga.batch.estimate_batch` /
@@ -577,28 +627,10 @@ class CandidateEvaluator:
         candidates = list(candidates)
         if not candidates:
             return [], [], []
-        try:
-            resources = estimate_batch(
-                candidates, flexcl=self.estimator.flexcl
-            )
-            bounds = lower_bound_batch(
-                candidates,
-                fidelity=self.fidelity,
-                flexcl=self.model.estimator,
-            )
-        except BatchRangeError:
-            totals = [self.estimator.estimate(d).total for d in candidates]
-            return (
-                [t.fits_within(budget.limit) for t in totals],
-                [self.lower_bound(d) for d in candidates],
-                [t.bram18 for t in totals],
-            )
-        feasible = resources.feasible(budget.limit)
-        return (
-            [bool(f) for f in feasible],
-            [float(b) for b in bounds],
-            [int(b) for b in resources.total.bram18],
-        )
+        resources = self._estimate(candidates)
+        bounds = self._bounds(candidates)
+        feasible = [r.total.fits_within(budget.limit) for r in resources]
+        return feasible, bounds, resources
 
     # -- batch evaluation ------------------------------------------------------
 
@@ -607,8 +639,15 @@ class CandidateEvaluator:
         candidates: Sequence[StencilDesign],
         budget: ResourceBudget,
         stats: Optional[EvaluationStats] = None,
+        resources: Optional[Sequence[DesignResources]] = None,
     ) -> List[Optional[EvaluatedDesign]]:
-        """Score a batch; the result list always matches input order."""
+        """Score a batch; the result list always matches input order.
+
+        ``resources`` are the candidates' estimates when the caller
+        already holds them (the tiered driver passes Tier-0's,
+        aligned with ``candidates``); memo and store answers still
+        take precedence.
+        """
         delta = EvaluationStats()
         start = time.perf_counter()
         with obs.span(
@@ -616,7 +655,7 @@ class CandidateEvaluator:
             candidates=len(candidates),
             budget=budget.label,
         ):
-            results = self._run_batch(candidates, budget, delta)
+            results = self._run_batch(candidates, budget, delta, resources)
         delta.wall_time_s = time.perf_counter() - start
         if stats is not None:
             stats.merge(delta)

@@ -1,16 +1,17 @@
 """Performance/resource Pareto-frontier utilities.
 
-Scoring raw designs for a frontier goes through the shared
-:class:`~repro.dse.evaluator.CandidateEvaluator` engine
-(:func:`pareto_explore`), so frontier construction reuses the same
-signature caches as the ``optimize_*`` searches instead of carrying its
-own evaluation loop.
+The frontier is the (predicted cycles, BRAM blocks) trade-off the
+paper's Table 3 stresses.  Scoring raw designs for a frontier goes
+through the shared :class:`~repro.dse.evaluator.CandidateEvaluator`
+engine (:func:`pareto_explore`), so frontier construction reuses the
+same signature caches as the ``optimize_*`` searches instead of
+carrying its own evaluation loop.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+import math
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dse.constraints import ResourceBudget
 from repro.dse.evaluator import CandidateEvaluator, EvaluatedDesign
@@ -22,71 +23,49 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dse.search import SearchDriver
 
 
-def _dominates(a: Sequence[float], b: Sequence[float]) -> bool:
-    """True when ``a`` is no worse in every objective and better in one."""
-    return all(x <= y for x, y in zip(a, b)) and any(
-        x < y for x, y in zip(a, b)
-    )
-
-
-def _default_objectives(e: EvaluatedDesign) -> Tuple[float, ...]:
-    """Latency vs BRAM — the trade-off the paper's Table 3 stresses."""
-    return (e.predicted_cycles, float(e.resources.total.bram18))
-
-
 def pareto_front(
     candidates: Sequence[EvaluatedDesign],
-    objectives: Optional[
-        Callable[[EvaluatedDesign], Tuple[float, ...]]
-    ] = None,
 ) -> List[EvaluatedDesign]:
-    """Non-dominated candidates (all objectives minimized).
+    """Non-dominated candidates in (predicted cycles, BRAM), both minimized.
 
-    Each objective tuple is computed once, and candidates with exactly
-    equal tuples are deduplicated before the dominance scan (keeping
-    the design with the lowest canonical signature, so the pick is
-    deterministic regardless of input order) — the returned frontier
-    never contains two entries with the same objectives.
+    Candidates with exactly equal objective pairs are deduplicated
+    first, keeping the design with the lowest canonical signature (so
+    the pick is deterministic regardless of input order; the
+    signatures are rendered only on a collision) — the returned
+    frontier never contains two entries with the same objectives.
+
+    The distinct pairs are then swept once in ascending (cycles, BRAM)
+    order.  Only an earlier pair can dominate a later one, and it does
+    exactly when its BRAM is no larger, so a pair is kept if and only
+    if its BRAM is strictly below the running minimum: O(n log n).
 
     Args:
         candidates: evaluated designs.
-        objectives: maps a candidate to its objective tuple; defaults
-            to ``(predicted cycles, BRAM blocks)`` — the trade-off the
-            paper's Table 3 stresses.
 
     Returns:
-        The Pareto-optimal subset, sorted by the first objective.
+        The Pareto-optimal subset, by ascending cycles (all distinct).
     """
-    if objectives is None:
-        objectives = _default_objectives
-    best: "OrderedDict[Tuple[float, ...], EvaluatedDesign]" = OrderedDict()
+    best: Dict[Tuple[float, int], EvaluatedDesign] = {}
     for candidate in candidates:
-        values = tuple(objectives(candidate))
-        kept = best.get(values)
+        key = (candidate.predicted_cycles, candidate.resources.total.bram18)
+        kept = best.get(key)
         if kept is None or repr(candidate.design.signature()) < repr(
             kept.design.signature()
         ):
-            best[values] = candidate
-    points = list(best.items())
-    front = [
-        (values, candidate)
-        for values, candidate in points
-        if not any(
-            _dominates(other_values, values)
-            for other_values, _ in points
-        )
-    ]
-    front.sort(key=lambda pair: pair[0][0])
-    return [candidate for _values, candidate in front]
+            best[key] = candidate
+    front: List[EvaluatedDesign] = []
+    floor = math.inf
+    for key in sorted(best):
+        if key[1] < floor:
+            front.append(best[key])
+            floor = key[1]
+    return front
 
 
 def pareto_explore(
     designs: Sequence[StencilDesign],
     budget: ResourceBudget,
     evaluator: Optional[CandidateEvaluator] = None,
-    objectives: Optional[
-        Callable[[EvaluatedDesign], Tuple[float, ...]]
-    ] = None,
     store: Optional[BackingStore] = None,
     driver: Optional["SearchDriver"] = None,
 ) -> List[EvaluatedDesign]:
@@ -98,56 +77,24 @@ def pareto_explore(
             and never materialized).
         budget: resource ceiling; infeasible designs are excluded.
         evaluator: shared engine (a serial one is built when omitted).
-        objectives: forwarded to :func:`pareto_front`.
         store: persistent backing store for the freshly-built engine —
             frontier scoring warm-starts from (and writes through to)
             disk.  Ignored when ``evaluator`` is supplied; attach the
             store to that evaluator instead.
         driver: optional :class:`~repro.dse.search.SearchDriver`.  A
             tiered driver must screen in ``"pareto"`` mode (or not at
-            all) for the default objectives — the latency screen
-            discards low-BRAM points the frontier needs; custom
-            objectives require screening off, since the Tier-0 bound
-            speaks only for the (cycles, BRAM) pair.
+            all) — the latency screen discards low-BRAM points the
+            frontier needs.
 
     Returns:
         The Pareto-optimal subset of the feasible designs.
     """
     if driver is not None and driver.chunk_size is not None:
-        if objectives is not None and driver.screen is not None:
-            raise DesignSpaceError(
-                "Custom Pareto objectives require a non-screening "
-                "driver (screen=None): the Tier-0 bound is admissible "
-                "only for the (cycles, BRAM) objectives"
-            )
-        if objectives is None and driver.screen == "latency":
+        if driver.screen == "latency":
             raise DesignSpaceError(
                 "pareto_explore needs a driver with screen='pareto' "
                 "(or None); the latency screen drops frontier points"
             )
-        if objectives is not None:
-            # Chunked exhaustive scoring with an incremental front
-            # under the caller's objectives (dominance is transitive
-            # and the dedup keeps the lowest signature, so the
-            # incremental front equals the one-shot construction).
-            import itertools
-
-            front: List[EvaluatedDesign] = []
-            stream = iter(designs)
-            while True:
-                chunk = list(itertools.islice(stream, driver.chunk_size))
-                if not chunk:
-                    break
-                scored = [
-                    result
-                    for result in driver.evaluator.evaluate_batch(
-                        chunk, budget
-                    )
-                    if result is not None
-                ]
-                if scored:
-                    front = pareto_front(front + scored, objectives)
-            return front
         try:
             result = driver.run(designs, budget)
         except DesignSpaceError as exc:
@@ -165,4 +112,4 @@ def pareto_explore(
         for result in engine.evaluate_batch(list(designs), budget)
         if result is not None
     ]
-    return pareto_front(scored, objectives)
+    return pareto_front(scored)

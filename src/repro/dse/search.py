@@ -8,13 +8,14 @@ module restructures exploration around a :class:`SearchDriver` that
 1. consumes a *lazy* candidate generator in fixed-size chunks (peak
    residency is O(chunk), never O(space)),
 2. runs a **Tier-0** vectorized screen per chunk — the exact
-   :meth:`~repro.fpga.batch.BatchResources.feasible` resource mask
-   plus the admissible latency lower bound of
+   :func:`~repro.fpga.batch.estimate_batch` resources checked against
+   the budget, plus the admissible latency lower bound of
    :func:`~repro.model.batch.lower_bound_batch` (bitwise-equal to the
    scalar :meth:`~repro.dse.evaluator.CandidateEvaluator.lower_bound`,
    provably ≤ the Eq. 7-11 prediction), and
-3. promotes only the survivors to **Tier-1** exact scoring through
-   the shared :class:`~repro.dse.evaluator.CandidateEvaluator`,
+3. promotes only the survivors, with the resources Tier-0 estimated
+   for them, to **Tier-1** exact scoring through the shared
+   :class:`~repro.dse.evaluator.CandidateEvaluator`,
 
 while maintaining a running :class:`SearchFrontier` (incumbent best +
 (cycles, BRAM) Pareto band).  Because the bound is admissible and the
@@ -350,11 +351,15 @@ class SearchDriver:
         engine = self.evaluator
         if self.screen is None:
             promoted = chunk
+            resources = None
             infeasible = screened = 0
         else:
             with obs.span("search.tier0", candidates=len(chunk)):
-                feasible, bounds, bram = engine.screen_batch(chunk, budget)
+                feasible, bounds, estimates = engine.screen_batch(
+                    chunk, budget
+                )
             promoted = []
+            resources = []
             infeasible = screened = 0
             for j, design in enumerate(chunk):
                 if not feasible[j]:
@@ -363,9 +368,12 @@ class SearchDriver:
                 if self.screen == "latency":
                     admitted = frontier.admits_cycles(bounds[j])
                 else:
-                    admitted = frontier.admits(bounds[j], bram[j])
+                    admitted = frontier.admits(
+                        bounds[j], estimates[j].total.bram18
+                    )
                 if admitted:
                     promoted.append(design)
+                    resources.append(estimates[j])
                 else:
                     screened += 1
         tier0 = EvaluationStats(
@@ -379,8 +387,10 @@ class SearchDriver:
         tier1 = EvaluationStats()
         if promoted:
             with obs.span("search.tier1", promoted=len(promoted)):
+                # Tier-0's estimates travel with the promoted designs,
+                # so Tier-1 runs the resource estimator on none of them.
                 results = engine.evaluate_batch(
-                    promoted, budget, stats=tier1
+                    promoted, budget, stats=tier1, resources=resources
                 )
         else:
             results = []

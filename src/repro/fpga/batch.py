@@ -24,7 +24,7 @@ on ``int64`` columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from repro.fpga.flexcl import FlexCLEstimator
 from repro.fpga.parity import check_parity_range
 from repro.fpga.resources import ResourceVector
 from repro.tiling.design import StencilDesign
+from repro.tiling.tile import tile_columns
 
 __all__ = ["BatchResources", "ResourceColumns", "estimate_batch"]
 
@@ -92,6 +93,21 @@ class BatchResources:
             pipes=self.pipes.row(i),
         )
 
+    def rows(self) -> List[DesignResources]:
+        """Every candidate's :meth:`design_resources`, in order."""
+        parts = [
+            zip(*(getattr(columns, c).tolist() for c in _COMPONENTS))
+            for columns in (self.total, self.kernels, self.pipes)
+        ]
+        return [
+            DesignResources(
+                total=ResourceVector(*total),
+                kernels=ResourceVector(*kernels),
+                pipes=ResourceVector(*pipes),
+            )
+            for total, kernels, pipes in zip(*parts)
+        ]
+
     def feasible(self, limit: ResourceVector) -> np.ndarray:
         """Boolean mask: which candidates fit within ``limit``.
 
@@ -103,6 +119,55 @@ class BatchResources:
             & (self.total.dsp <= limit.dsp)
             & (self.total.bram18 <= limit.bram18)
         )
+
+
+class _KernelProfile(NamedTuple):
+    """Estimator constants every candidate with one spec and unroll shares.
+
+    ``ff``/``lut``/``dsp`` are one kernel's datapath (the ``N_PE``
+    operator copies); ``scale`` is one kernel's share of the parity
+    guard's largest LUT product.
+    """
+
+    ff: int
+    lut: int
+    dsp: int
+    partitions: int
+    gang: int
+    depth: int
+    narrays: int
+    word_bits: int
+    num_fields: int
+    radius: Tuple[int, ...]
+    scale: int
+
+
+def _kernel_profile(
+    design: StencilDesign, flexcl: FlexCLEstimator
+) -> _KernelProfile:
+    spec = design.spec
+    pattern = spec.pattern
+    report = flexcl.estimate(pattern, design.unroll)
+    muls = pattern.multiplies_per_cell()
+    adds = pattern.adds_per_cell()
+    unroll = design.unroll
+    word_bits = spec.element_bytes * 8
+    gang, depth = _depth_per_block(word_bits)
+    narrays = pattern.num_fields + len(pattern.aux)
+    lut = (muls * LUT_PER_MUL + adds * LUT_PER_ADD) * unroll
+    return _KernelProfile(
+        ff=(muls * FF_PER_MUL + adds * FF_PER_ADD) * unroll,
+        lut=lut,
+        dsp=(muls * DSP_PER_MUL + adds * DSP_PER_ADD) * unroll,
+        partitions=report.partitions,
+        gang=gang,
+        depth=depth,
+        narrays=narrays,
+        word_bits=word_bits,
+        num_fields=pattern.num_fields,
+        radius=design.radius,
+        scale=narrays * gang * LUT_PER_BRAM + KERNEL_BASE.lut + lut,
+    )
 
 
 def _pipe_face_count(design: StencilDesign) -> int:
@@ -151,106 +216,92 @@ def estimate_batch(
         for part in ("kernels", "pipes")
     }
 
-    op_cache: Dict[Tuple, Tuple[int, int]] = {}
-    fifo_cache: Dict[Tuple[int, int, int], ResourceVector] = {}
     groups: Dict[int, List[int]] = {}
     for i, design in enumerate(designs):
         groups.setdefault(design.spec.ndim, []).append(i)
 
     for ndim, idx in groups.items():
-        g = len(idx)
-        k_arr = np.empty(g, dtype=np.int64)
-        dp = {c: np.empty(g, dtype=np.int64) for c in _COMPONENTS}
-        partitions = np.empty(g, dtype=np.int64)
-        gang = np.empty(g, dtype=np.int64)
-        depth = np.empty(g, dtype=np.int64)
-        narrays = np.empty(g, dtype=np.int64)
-        shapes: List[Tuple[int, ...]] = []
-        cones: List[Tuple[int, ...]] = []
-        halos: List[Tuple[int, ...]] = []
-        radii: List[Tuple[int, ...]] = []
-        h_list: List[int] = []
-        pair_cand: List[int] = []
-        seg_starts: List[int] = []
-        max_extent = 0
-        max_r = 0
-        max_h = 1
+        # One profile per distinct (spec, unroll) — keyed by identity,
+        # valid for this call only — and one FIFO vector per distinct
+        # pipe configuration (row 0: no pipes).
+        index: Dict[Tuple[int, int], int] = {}
+        profiles: List[_KernelProfile] = []
+        fifo_index: Dict[Tuple[int, int, int], int] = {}
+        fifos: List[ResourceVector] = [ResourceVector()]
+        prof: List[int] = []
+        face_rows: List[int] = []
+        faces: List[int] = []
         max_scale = 1
-        for row, i in enumerate(idx):
+        for i in idx:
             design = designs[i]
-            spec = design.spec
-            pattern = spec.pattern
-            report = flexcl.estimate(pattern, design.unroll)
-            pkey = pattern.signature()
-            ops = op_cache.get(pkey)
-            if ops is None:
-                ops = (
-                    pattern.multiplies_per_cell(),
-                    pattern.adds_per_cell(),
-                )
-                op_cache[pkey] = ops
-            muls, adds = ops
-            unroll = design.unroll
-            dp["ff"][row] = (muls * FF_PER_MUL + adds * FF_PER_ADD) * unroll
-            dp["lut"][row] = (
-                muls * LUT_PER_MUL + adds * LUT_PER_ADD
-            ) * unroll
-            dp["dsp"][row] = (
-                muls * DSP_PER_MUL + adds * DSP_PER_ADD
-            ) * unroll
-            dp["bram18"][row] = 0
-            k_arr[row] = design.parallelism
-            partitions[row] = report.partitions
-            word_bits = spec.element_bytes * 8
-            gang[row], depth[row] = _depth_per_block(word_bits)
-            narrays[row] = pattern.num_fields + len(pattern.aux)
-
+            key = (id(design.spec), design.unroll)
+            row = index.get(key)
+            if row is None:
+                row = index[key] = len(profiles)
+                profiles.append(_kernel_profile(design, flexcl))
+            profile = profiles[row]
+            prof.append(row)
             n_faces = _pipe_face_count(design)
+            face_row = 0
             if n_faces:
                 fkey = (
                     design.pipe_depth,
-                    word_bits,
-                    pattern.num_fields,
+                    profile.word_bits,
+                    profile.num_fields,
                 )
-                per_face = fifo_cache.get(fkey)
-                if per_face is None:
-                    per_face = fifo_resources(
-                        design.pipe_depth, word_bits
-                    ).scaled(2 * pattern.num_fields)
-                    fifo_cache[fkey] = per_face
-                for c in _COMPONENTS:
-                    out["pipes"][c][i] = getattr(per_face, c) * n_faces
+                face_row = fifo_index.get(fkey)
+                if face_row is None:
+                    face_row = fifo_index[fkey] = len(fifos)
+                    fifos.append(
+                        fifo_resources(
+                            design.pipe_depth, profile.word_bits
+                        ).scaled(2 * profile.num_fields)
+                    )
+            face_rows.append(face_row)
+            faces.append(n_faces)
+            max_scale = max(max_scale, design.parallelism * profile.scale)
 
-            seg_starts.append(len(shapes))
-            for tile in design.tiles:
-                shapes.append(tile.shape)
-                cones.append(design.cone_sides(tile))
-                halos.append(design.halo_sides(tile))
-                radii.append(design.radius)
-                h_list.append(design.fused_depth)
-                pair_cand.append(row)
-                max_extent = max(max_extent, max(tile.shape))
-            max_r = max(max_r, max(design.radius))
-            max_h = max(max_h, design.fused_depth)
-            max_scale = max(
-                max_scale,
-                int(narrays[row])
-                * int(gang[row])
-                * design.parallelism
-                * LUT_PER_BRAM
-                + design.parallelism * (KERNEL_BASE.lut + int(dp["lut"][row])),
-            )
+        rows = np.asarray(prof, dtype=np.int64)
+
+        def column(name: str) -> np.ndarray:
+            values = [getattr(p, name) for p in profiles]
+            return np.asarray(values, dtype=np.int64)[rows]
+
+        k_arr = np.asarray(
+            [designs[i].parallelism for i in idx], dtype=np.int64
+        )
+        h_list = [designs[i].fused_depth for i in idx]
+        sharing = np.fromiter(
+            (designs[i].sharing for i in idx), dtype=bool, count=len(idx)
+        )
+        max_r = max(max(p.radius) for p in profiles)
+        max_h = max(1, max(h_list))
+        grids = [designs[i].tile_grid for i in idx]
+        max_extent = max(grid.max_extent for grid in grids)
         check_parity_range(
             max_extent + 2 * max_r * (max_h + 1), ndim, max_scale
         )
+        columns = tile_columns(grids)
 
-        shape_p = np.asarray(shapes, dtype=np.int64).reshape(-1, ndim)
-        cone_p = np.asarray(cones, dtype=np.int64).reshape(-1, ndim)
-        halo_p = np.asarray(halos, dtype=np.int64).reshape(-1, ndim)
-        r_p = np.asarray(radii, dtype=np.int64).reshape(-1, ndim)
-        h_p = np.asarray(h_list, dtype=np.int64)
-        pair_idx = np.asarray(pair_cand, dtype=np.int64)
-        starts = np.asarray(seg_starts, dtype=np.int64)
+        shape_p = columns.shape
+        cone_p, halo_p = columns.sides(sharing)
+        pair_idx = columns.owner
+        starts = columns.starts
+        r_p = column("radius")[pair_idx]
+        h_p = np.asarray(h_list, dtype=np.int64)[pair_idx]
+        partitions = column("partitions")
+        gang = column("gang")
+        depth = column("depth")
+        narrays = column("narrays")
+        dp = {c: column(c) for c in ("ff", "lut", "dsp")}
+
+        face_idx = np.asarray(face_rows, dtype=np.int64)
+        n_faces = np.asarray(faces, dtype=np.int64)
+        for c in _COMPONENTS:
+            per_face = np.asarray(
+                [getattr(f, c) for f in fifos], dtype=np.int64
+            )
+            out["pipes"][c][idx] = per_face[face_idx] * n_faces
 
         # Local-buffer capacity = the tile's read footprint, packed into
         # RAMB18 banks exactly as ``bram18_blocks`` does: each of the

@@ -31,13 +31,23 @@ class ResourceVector:
     bram18: int = 0
 
     def __post_init__(self) -> None:
+        ff, lut, dsp, bram18 = self.ff, self.lut, self.dsp, self.bram18
+        if (
+            type(ff) is int
+            and type(lut) is int
+            and type(dsp) is int
+            and type(bram18) is int
+            and min(ff, lut, dsp, bram18) >= 0
+        ):
+            return  # already exact, non-negative ints
         for name in _COMPONENTS:
             value = getattr(self, name)
             if value < 0:
                 raise SpecificationError(
                     f"Resource component {name} must be >= 0, got {value}"
                 )
-            object.__setattr__(self, name, int(round(value)))
+            if type(value) is not int:
+                object.__setattr__(self, name, int(round(value)))
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
         return ResourceVector(
@@ -71,8 +81,11 @@ class ResourceVector:
 
     def fits_within(self, budget: "ResourceVector") -> bool:
         """True when every component is within ``budget``."""
-        return all(
-            getattr(self, c) <= getattr(budget, c) for c in _COMPONENTS
+        return (
+            self.ff <= budget.ff
+            and self.lut <= budget.lut
+            and self.dsp <= budget.dsp
+            and self.bram18 <= budget.bram18
         )
 
     def utilization(self, capacity: "ResourceVector") -> Dict[str, float]:

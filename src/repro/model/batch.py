@@ -38,9 +38,10 @@ back to the scalar model, so the guard affects speed, never results.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from repro.fpga.parity import (
 from repro.model.predictor import Fidelity, LatencyBreakdown
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.tiling.design import StencilDesign
+from repro.tiling.tile import tile_columns
 
 __all__ = [
     "BatchPrediction",
@@ -239,19 +241,15 @@ def _lower_bound_group(
     ndim: int,
     out: np.ndarray,
 ) -> None:
-    g = len(idx)
     shape_p, cone_p, _halo_p, pair_cand, seg_starts, max_extent = (
         _tile_columns(designs, idx, ndim)
     )
-    h_arr = np.empty(g, dtype=np.int64)
-    radius_rows = np.empty((g, ndim), dtype=np.int64)
-    max_r = 0
-    for row, i in enumerate(idx):
-        design = designs[i]
-        h_arr[row] = design.fused_depth
-        radius_rows[row] = design.spec.pattern.radius
-        max_r = max(max_r, max(design.spec.pattern.radius))
-    max_h = int(h_arr.max())
+    profiles, prof = _profiles(designs, None, flexcl, idx)
+    h_list = [designs[i].fused_depth for i in idx]
+    h_arr = np.asarray(h_list, dtype=np.int64)
+    radius_rows = _column(profiles, prof, "radius", np.int64)
+    max_r = max(max(p.radius) for p in profiles)
+    max_h = max(h_list)
     check_parity_range(max_extent + 2 * max_r * (max_h + 1), ndim, max_h)
 
     # Total cone workload per tile (``tile_compute_cells``), with the
@@ -263,40 +261,29 @@ def _lower_bound_group(
         rem = h_p - i
         cells_i = np.prod(shape_p + rn_p * rem[:, None], axis=1)
         totals_p += np.where(rem >= 0, cells_i, 0)
-    seg_max = np.maximum.reduceat(totals_p, seg_starts)
     if fidelity is Fidelity.PAPER:
         # Slowest-tile selection mirrors ``slowest_tile()``: first
         # maximal total wins.
         pick = _first_argmax_per_segment(totals_p, pair_cand, seg_starts)
-        slow_shape = shape_p[pick]
+        slow_cells = np.prod(shape_p[pick], axis=1).tolist()
         for row, i in enumerate(idx):
             design = designs[i]
-            report = flexcl.estimate(design.spec.pattern, design.unroll)
-            tile_cells = 1
-            for w in slow_shape[row]:
-                tile_cells *= int(w)
-            per_block = (
-                report.cycles_per_element
-                * design.fused_depth
-                * tile_cells
-            )
-            grid_cells = 1
-            for w in design.spec.grid_shape:
-                grid_cells *= w
+            profile = profiles[prof[row]]
+            tile_cells = slow_cells[row]
+            per_block = profile.c_elem * design.fused_depth * tile_cells
             # Eq. 2's ``N_region``: one correctly-rounded int/int true
             # division, exactly as ``num_blocks_paper`` computes it.
             n_region = (
                 design.spec.iterations
-                * grid_cells
+                * profile.grid_cells
                 / (design.fused_depth * design.parallelism * tile_cells)
             )
             out[i] = per_block * n_region
         return
+    seg_max = np.maximum.reduceat(totals_p, seg_starts).tolist()
     for row, i in enumerate(idx):
-        design = designs[i]
-        report = flexcl.estimate(design.spec.pattern, design.unroll)
-        per_block = report.cycles_per_element * int(seg_max[row])
-        out[i] = per_block * design.num_blocks()
+        per_block = profiles[prof[row]].c_elem * seg_max[row]
+        out[i] = per_block * designs[i].num_blocks()
 
 
 # -- shared group plumbing -----------------------------------------------------
@@ -311,30 +298,97 @@ def _tile_columns(
     ``(m, ndim)`` int64 arrays of tile extents, cone-side and halo-side
     multiplicities, the owning group-local candidate index per pair,
     each candidate's first pair index, and the largest raw extent seen.
+    Built from the tile grids' extents (:func:`tile_columns`), in
+    ``tiles()`` order per candidate.
     """
-    shapes: List[Tuple[int, ...]] = []
-    cones: List[Tuple[int, ...]] = []
-    halos: List[Tuple[int, ...]] = []
-    pair_cand: List[int] = []
-    seg_starts: List[int] = []
-    max_extent = 0
-    for g, i in enumerate(idx):
-        design = designs[i]
-        seg_starts.append(len(shapes))
-        for tile in design.tiles:
-            shapes.append(tile.shape)
-            cones.append(design.cone_sides(tile))
-            halos.append(design.halo_sides(tile))
-            pair_cand.append(g)
-            max_extent = max(max_extent, max(tile.shape))
+    grids = [designs[i].tile_grid for i in idx]
+    max_extent = max(grid.max_extent for grid in grids)
+    check_parity_range(max_extent, ndim, 1)
+    columns = tile_columns(grids)
+    sharing = np.fromiter(
+        (designs[i].sharing for i in idx), dtype=bool, count=len(idx)
+    )
+    cone, halo = columns.sides(sharing)
     return (
-        np.asarray(shapes, dtype=np.int64).reshape(-1, ndim),
-        np.asarray(cones, dtype=np.int64).reshape(-1, ndim),
-        np.asarray(halos, dtype=np.int64).reshape(-1, ndim),
-        np.asarray(pair_cand, dtype=np.int64),
-        np.asarray(seg_starts, dtype=np.int64),
+        columns.shape,
+        cone,
+        halo,
+        columns.owner,
+        columns.starts,
         max_extent,
     )
+
+
+class _Profile(NamedTuple):
+    """Constants every candidate with one spec, unroll and board shares."""
+
+    c_elem: float
+    per_cycle: float
+    pipe: float
+    launch: float
+    read_bpc: int
+    write_bpc: int
+    num_fields: int
+    radius: Tuple[int, ...]
+    grid_cells: int
+
+
+def _profiles(
+    designs: Sequence[StencilDesign],
+    boards: Optional[Sequence[BoardSpec]],
+    flexcl: FlexCLEstimator,
+    idx: Sequence[int],
+) -> Tuple[List[_Profile], List[int]]:
+    """Distinct per-(spec, unroll, board) constants, and each
+    candidate's row into them.
+
+    A sweep's candidates nearly all share one spec, unroll and board,
+    so the pipeline report and byte counts are derived once per
+    combination instead of once per candidate.  Keys are object
+    identities, valid for this call only (``designs`` and ``boards``
+    keep every keyed object alive).  Without ``boards`` the board
+    fields are zero.
+    """
+    index: Dict[Tuple[int, int, int], int] = {}
+    profiles: List[_Profile] = []
+    rows: List[int] = []
+    for i in idx:
+        design = designs[i]
+        board = boards[i] if boards is not None else None
+        key = (id(design.spec), design.unroll, id(board))
+        row = index.get(key)
+        if row is None:
+            row = index[key] = len(profiles)
+            spec = design.spec
+            report = flexcl.estimate(spec.pattern, design.unroll)
+            aux_bytes = spec.element_bytes * len(spec.pattern.aux)
+            profiles.append(
+                _Profile(
+                    c_elem=report.cycles_per_element,
+                    per_cycle=(
+                        board.effective_bytes_per_cycle if board else 0.0
+                    ),
+                    pipe=float(board.pipe_cycles_per_word) if board else 0.0,
+                    launch=(
+                        float(board.kernel_launch_cycles) if board else 0.0
+                    ),
+                    read_bpc=spec.cell_state_bytes + aux_bytes,
+                    write_bpc=spec.cell_state_bytes,
+                    num_fields=spec.pattern.num_fields,
+                    radius=spec.pattern.radius,
+                    grid_cells=math.prod(spec.grid_shape),
+                )
+            )
+        rows.append(row)
+    return profiles, rows
+
+
+def _column(
+    profiles: Sequence[_Profile], rows: Sequence[int], name: str, dtype
+) -> np.ndarray:
+    """One profile field as a per-candidate column."""
+    values = np.asarray([getattr(p, name) for p in profiles], dtype=dtype)
+    return values[np.asarray(rows, dtype=np.int64)]
 
 
 def _first_argmax_per_segment(
@@ -364,49 +418,34 @@ def _paper_group(
     ndim: int,
 ) -> Dict[str, np.ndarray]:
     g = len(idx)
-    h_arr = np.empty(g, dtype=np.int64)
-    k_arr = np.empty(g, dtype=np.int64)
-    c_elem = np.empty(g, dtype=np.float64)
-    per_cycle = np.empty(g, dtype=np.float64)
-    pipe = np.empty(g, dtype=np.float64)
-    launch = np.empty(g, dtype=np.float64)
-    read_bpc = np.empty(g, dtype=np.int64)
-    write_bpc = np.empty(g, dtype=np.int64)
-    growth = np.empty((g, ndim), dtype=np.int64)
-    sharing = np.zeros(g, dtype=bool)
-    max_r = 0
-    max_bpc = 1
-    for row, i in enumerate(idx):
-        design = designs[i]
-        spec = design.spec
-        report = flexcl.estimate(spec.pattern, design.unroll)
-        h_arr[row] = design.fused_depth
-        k_arr[row] = design.parallelism
-        c_elem[row] = report.cycles_per_element
-        per_cycle[row] = boards[i].effective_bytes_per_cycle
-        pipe[row] = float(boards[i].pipe_cycles_per_word)
-        launch[row] = float(boards[i].kernel_launch_cycles)
-        aux_bytes = spec.element_bytes * len(spec.pattern.aux)
-        read_bpc[row] = spec.cell_state_bytes + aux_bytes
-        write_bpc[row] = spec.cell_state_bytes
-        growth[row] = spec.pattern.halo_growth
-        sharing[row] = design.sharing
-        max_r = max(max_r, max(spec.pattern.radius))
-        max_bpc = max(max_bpc, spec.cell_state_bytes + aux_bytes)
+    profiles, prof = _profiles(designs, boards, flexcl, idx)
+    h_list = [designs[i].fused_depth for i in idx]
+    h_arr = np.asarray(h_list, dtype=np.int64)
+    k_arr = np.asarray([designs[i].parallelism for i in idx], dtype=np.int64)
+    c_elem = _column(profiles, prof, "c_elem", np.float64)
+    per_cycle = _column(profiles, prof, "per_cycle", np.float64)
+    pipe = _column(profiles, prof, "pipe", np.float64)
+    launch = _column(profiles, prof, "launch", np.float64)
+    read_bpc = _column(profiles, prof, "read_bpc", np.int64)
+    write_bpc = _column(profiles, prof, "write_bpc", np.int64)
+    radius_rows = _column(profiles, prof, "radius", np.int64)
+    growth = 2 * radius_rows  # ``halo_growth``
+    sharing = np.fromiter(
+        (designs[i].sharing for i in idx), dtype=bool, count=g
+    )
+    max_r = max(max(p.radius) for p in profiles)
+    max_bpc = max(1, max(p.read_bpc for p in profiles))
 
     shape_p, cone_p, _halo_p, pair_cand, seg_starts, max_extent = (
         _tile_columns(designs, idx, ndim)
     )
-    max_h = int(h_arr.max())
+    max_h = max(h_list)
     check_parity_range(
         max_extent + 2 * max_r * (max_h + 1), ndim, max(max_h, max_bpc)
     )
 
     # Slowest-tile selection: total cone workload per tile, first max
     # wins (mirrors ``max(tiles, key=tile_compute_cells)``).
-    radius_rows = np.asarray(
-        [designs[i].spec.pattern.radius for i in idx], dtype=np.int64
-    ).reshape(g, ndim)
     rn_p = radius_rows[pair_cand] * cone_p
     h_p = h_arr[pair_cand]
     totals_p = np.zeros(len(pair_cand), dtype=np.int64)
@@ -419,25 +458,25 @@ def _paper_group(
 
     # Eq. 2 per candidate in pure Python: one correctly-rounded int/int
     # true division, exactly as ``num_regions_eq2`` computes it.
-    n_region = np.empty(g, dtype=np.float64)
-    for row, i in enumerate(idx):
-        design = designs[i]
-        grid_cells = 1
-        for w in design.spec.grid_shape:
-            grid_cells *= w
-        tile_cells = 1
-        for w in slow_shape[row]:
-            tile_cells *= int(w)
-        n_region[row] = (
-            design.spec.iterations
-            * grid_cells
-            / (design.fused_depth * design.parallelism * tile_cells)
-        )
+    tile_cells0 = np.prod(slow_shape, axis=1)
+    slow_cells = tile_cells0.tolist()
+    n_region = np.asarray(
+        [
+            designs[i].spec.iterations
+            * profiles[prof[row]].grid_cells
+            / (
+                designs[i].fused_depth
+                * designs[i].parallelism
+                * slow_cells[row]
+            )
+            for row, i in enumerate(idx)
+        ],
+        dtype=np.float64,
+    )
 
     denom = per_cycle / k_arr
     read_cells = np.prod(slow_shape + growth * h_arr[:, None], axis=1)
     read = (read_cells * read_bpc) / denom
-    tile_cells0 = np.prod(slow_shape, axis=1)
     write = (tile_cells0 * write_bpc) / denom
 
     useful = np.zeros(g, dtype=np.float64)
@@ -494,49 +533,35 @@ def _refined_group(
     idx: Sequence[int],
     ndim: int,
 ) -> Dict[str, np.ndarray]:
-    g = len(idx)
     shape_p, cone_p, halo_p, pair_cand, seg_starts, max_extent = (
         _tile_columns(designs, idx, ndim)
     )
     m = len(pair_cand)
 
-    h_arr = np.empty(g, dtype=np.int64)
-    k_arr = np.empty(g, dtype=np.int64)
-    c_elem = np.empty(g, dtype=np.float64)
-    per_cycle = np.empty(g, dtype=np.float64)
-    pipe = np.empty(g, dtype=np.float64)
-    launch = np.empty(g, dtype=np.float64)
-    read_bpc = np.empty(g, dtype=np.int64)
-    write_bpc = np.empty(g, dtype=np.int64)
-    nf_arr = np.empty(g, dtype=np.int64)
-    radius = np.empty((g, ndim), dtype=np.int64)
-    blocks_f = np.empty(g, dtype=np.float64)
-    max_r = 0
-    max_scale = 1
-    for row, i in enumerate(idx):
-        design = designs[i]
-        spec = design.spec
-        report = flexcl.estimate(spec.pattern, design.unroll)
-        h_arr[row] = design.fused_depth
-        k_arr[row] = design.parallelism
-        c_elem[row] = report.cycles_per_element
-        per_cycle[row] = boards[i].effective_bytes_per_cycle
-        pipe[row] = float(boards[i].pipe_cycles_per_word)
-        launch[row] = float(boards[i].kernel_launch_cycles)
-        aux_bytes = spec.element_bytes * len(spec.pattern.aux)
-        read_bpc[row] = spec.cell_state_bytes + aux_bytes
-        write_bpc[row] = spec.cell_state_bytes
-        nf_arr[row] = spec.pattern.num_fields
-        radius[row] = spec.pattern.radius
-        blocks_f[row] = float(design.num_blocks())
-        max_r = max(max_r, max(spec.pattern.radius))
-        max_scale = max(
-            max_scale,
-            design.fused_depth,
-            (spec.cell_state_bytes + aux_bytes) * design.parallelism,
-            2 * ndim * max(spec.pattern.radius) * spec.pattern.num_fields,
-        )
-    max_h = int(h_arr.max())
+    profiles, prof = _profiles(designs, boards, flexcl, idx)
+    h_list = [designs[i].fused_depth for i in idx]
+    k_list = [designs[i].parallelism for i in idx]
+    h_arr = np.asarray(h_list, dtype=np.int64)
+    k_arr = np.asarray(k_list, dtype=np.int64)
+    blocks_f = np.asarray(
+        [float(designs[i].num_blocks()) for i in idx], dtype=np.float64
+    )
+    c_elem = _column(profiles, prof, "c_elem", np.float64)
+    per_cycle = _column(profiles, prof, "per_cycle", np.float64)
+    pipe = _column(profiles, prof, "pipe", np.float64)
+    launch = _column(profiles, prof, "launch", np.float64)
+    read_bpc = _column(profiles, prof, "read_bpc", np.int64)
+    write_bpc = _column(profiles, prof, "write_bpc", np.int64)
+    nf_arr = _column(profiles, prof, "num_fields", np.int64)
+    radius = _column(profiles, prof, "radius", np.int64)
+    max_r = max(max(p.radius) for p in profiles)
+    max_h = max(h_list)
+    max_scale = max(
+        1,
+        max_h,
+        max(profiles[p].read_bpc * k for p, k in zip(prof, k_list)),
+        max(2 * ndim * max(p.radius) * p.num_fields for p in profiles),
+    )
     check_parity_range(max_extent + 2 * max_r * (max_h + 1), ndim, max_scale)
 
     h_p = h_arr[pair_cand]

@@ -27,15 +27,12 @@ from repro import obs
 from repro.dse.constraints import ResourceBudget
 from repro.dse.evaluator import (
     CandidateEvaluator,
-    CandidateTrace,
     DSEResult,
     EvaluatedDesign,
     EvaluationStats,
 )
 from repro.errors import DesignSpaceError
-from repro.fpga.batch import estimate_batch
 from repro.fpga.estimator import DesignResources
-from repro.model.batch import BatchRangeError, lower_bound_batch
 from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.program.design import ProgramDesign
@@ -49,8 +46,30 @@ from repro.tiling.design import StencilDesign
 
 _log = obs.get_logger("program")
 
-#: ``(total_cycles, resources)`` of one stage design.
-StageNumbers = Tuple[float, DesignResources]
+#: ``(total_cycles, resources)`` of one stage design; the resources
+#: are ``None`` when the caller supplied composed program resources.
+StageNumbers = Tuple[float, Optional[DesignResources]]
+
+
+def _distinct_stages(
+    candidates: Sequence[ProgramDesign],
+) -> Tuple[List[StencilDesign], List[List[int]]]:
+    """Distinct stage designs (by signature) and, per candidate, the
+    indices of its stages into that list."""
+    index: Dict[Tuple, int] = {}
+    stages: List[StencilDesign] = []
+    rows: List[List[int]] = []
+    for pdesign in candidates:
+        row = []
+        for _name, design in pdesign.stage_designs:
+            sig = design.signature()
+            j = index.get(sig)
+            if j is None:
+                j = index[sig] = len(stages)
+                stages.append(design)
+            row.append(j)
+        rows.append(row)
+    return stages, rows
 
 
 class ProgramEvaluator:
@@ -146,56 +165,39 @@ class ProgramEvaluator:
         self,
         candidates: Sequence[ProgramDesign],
         budget: ResourceBudget,
-    ) -> Tuple[List[bool], List[float], List[int]]:
+    ) -> Tuple[List[bool], List[float], List[DesignResources]]:
         """Cheap composed screen data for one chunk.
 
-        Returns ``(feasible, bounds, bram)`` exactly as
+        Returns ``(feasible, bounds, resources)`` exactly as
         :meth:`CandidateEvaluator.screen_batch` does, but composed
         along each candidate's DAG: the shared-budget feasibility
         verdict, the admissible composed lower bound, and the composed
-        BRAM18 count.  Nothing is memoized — screening a huge product
-        space leaves the caches O(chunk).
+        resources (which the tiered driver hands to
+        :meth:`evaluate_batch`).  Each distinct stage design is scored
+        once, however many candidates share it.  Nothing is memoized —
+        screening a huge product space leaves the caches O(chunk).
         """
         candidates = list(candidates)
         if not candidates:
             return [], [], []
-        flat: List[StencilDesign] = []
-        offsets: List[int] = []
-        for pdesign in candidates:
-            offsets.append(len(flat))
-            flat.extend(d for _name, d in pdesign.stage_designs)
-        offsets.append(len(flat))
-        try:
-            batch_res = estimate_batch(flat, flexcl=self.estimator.flexcl)
-            batch_bounds = lower_bound_batch(
-                flat,
-                fidelity=self.fidelity,
-                flexcl=self.model.estimator,
-            )
-        except BatchRangeError:
-            stage_res = [self.estimator.estimate(d) for d in flat]
-            stage_bounds = [self.stage_engine.lower_bound(d) for d in flat]
-        else:
-            stage_res = [
-                batch_res.design_resources(j) for j in range(len(flat))
-            ]
-            stage_bounds = [float(b) for b in batch_bounds]
+        stages, rows = _distinct_stages(candidates)
+        stage_res = self.stage_engine._estimate(stages)
+        stage_bounds = self.stage_engine._bounds(stages)
         feasible: List[bool] = []
         bounds: List[float] = []
-        bram: List[int] = []
-        for i, pdesign in enumerate(candidates):
-            lo, hi = offsets[i], offsets[i + 1]
+        resources: List[DesignResources] = []
+        for pdesign, row in zip(candidates, rows):
             composed = compose_resources(
-                pdesign.schedule, stage_res[lo:hi]
+                pdesign.schedule, [stage_res[j] for j in row]
             )
             feasible.append(composed.total.fits_within(budget.limit))
             bounds.append(
                 program_lower_bound(
-                    pdesign, stage_bounds[lo:hi], self.board
+                    pdesign, [stage_bounds[j] for j in row], self.board
                 )
             )
-            bram.append(composed.total.bram18)
-        return feasible, bounds, bram
+            resources.append(composed)
+        return feasible, bounds, resources
 
     # -- tier-1 evaluation -----------------------------------------------------
 
@@ -206,24 +208,19 @@ class ProgramEvaluator:
         stats: EvaluationStats,
         stored: Dict[Tuple, Optional[StoredResult]],
         stages: Dict[Tuple, StageNumbers],
+        resources: Optional[DesignResources],
     ) -> Optional[EvaluatedDesign]:
         result, outcome = self._score_one(
-            design, budget, stats, stored, stages
+            design, budget, stats, stored, stages, resources
         )
         # Every composed candidate flows through the stage engine's
         # per-candidate hook, exactly like single-stencil candidates
         # do — the synthesis service's cancellation point lives there,
         # so a program exploration aborts within one candidate too.
         self.stage_engine._emit(
-            CandidateTrace(
-                design=design,
-                outcome=outcome,
-                predicted_cycles=(
-                    result.predicted_cycles
-                    if result is not None
-                    else None
-                ),
-            )
+            design,
+            outcome,
+            result.predicted_cycles if result is not None else None,
         )
         return result
 
@@ -234,6 +231,7 @@ class ProgramEvaluator:
         stats: EvaluationStats,
         stored: Dict[Tuple, Optional[StoredResult]],
         stages: Dict[Tuple, StageNumbers],
+        resources: Optional[DesignResources],
     ) -> Tuple[Optional[EvaluatedDesign], str]:
         stats.candidates += 1
         sig = design.signature()
@@ -256,9 +254,10 @@ class ProgramEvaluator:
                 return None, "infeasible"
             return result, "store-hit"
         numbers = [stages[d.signature()] for _name, d in design.stage_designs]
-        resources = compose_resources(
-            design.schedule, [r for _c, r in numbers]
-        )
+        if resources is None:
+            resources = compose_resources(
+                design.schedule, [r for _c, r in numbers]
+            )
         if not resources.total.fits_within(budget.limit):
             stats.infeasible += 1
             self._store_record(design, resources=resources)
@@ -278,6 +277,7 @@ class ProgramEvaluator:
         candidates: Sequence[ProgramDesign],
         budget: ResourceBudget,
         stats: Optional[EvaluationStats] = None,
+        resources: Optional[Sequence[DesignResources]] = None,
     ) -> List[Optional[EvaluatedDesign]]:
         """Score a batch of programs; results match input order.
 
@@ -286,6 +286,12 @@ class ProgramEvaluator:
         answer either are scored by one call of the stage engine's
         scoring function.  Stage scoring adds no stage-level memo
         entries, store traffic, stats or trace events.
+
+        ``resources`` are the candidates' composed resources when the
+        caller already holds them (the tiered driver passes Tier-0's,
+        aligned with ``candidates``): the stages then need cycles only,
+        and nothing is composed again.  Memo and store answers still
+        take precedence.
         """
         delta = EvaluationStats()
         start = time.perf_counter()
@@ -306,12 +312,24 @@ class ProgramEvaluator:
                 if entry is None or not entry.complete:
                     for _name, d in design.stage_designs:
                         fresh.setdefault(d.signature(), d)
-            stages = dict(
-                zip(fresh, self.stage_engine._score(list(fresh.values())))
-            )
+            designs = list(fresh.values())
+            if resources is None:
+                scored = self.stage_engine._score(designs)
+            else:
+                # Tier-0 composed every candidate's resources already;
+                # the stages need cycles only.
+                scored = [
+                    (cycles, None)
+                    for cycles in self.stage_engine._predict(designs)
+                ]
+            stages = dict(zip(fresh, scored))
+            if resources is None:
+                resources = [None] * len(candidates)
             results = [
-                self._evaluate_one(design, budget, delta, stored, stages)
-                for design in candidates
+                self._evaluate_one(
+                    design, budget, delta, stored, stages, composed
+                )
+                for design, composed in zip(candidates, resources)
             ]
         delta.wall_time_s = time.perf_counter() - start
         if stats is not None:

@@ -161,19 +161,25 @@ class StencilPattern:
         Two patterns with equal signatures produce identical model and
         resource estimates, so the signature is usable as a cache key
         (``updates`` is a mapping and therefore unhashable directly).
+        The tuple is cached on the instance (the dataclass is frozen,
+        so it can never go stale).
         """
-        updates = tuple(
-            (
-                fname,
-                tuple(
-                    (t.source, t.offset, t.coeff)
-                    for t in self.updates[fname].taps
-                ),
-                self.updates[fname].constant,
+        cached = self.__dict__.get("_signature")
+        if cached is None:
+            updates = tuple(
+                (
+                    fname,
+                    tuple(
+                        (t.source, t.offset, t.coeff)
+                        for t in self.updates[fname].taps
+                    ),
+                    self.updates[fname].constant,
+                )
+                for fname in sorted(self.updates)
             )
-            for fname in sorted(self.updates)
-        )
-        return (self.name, self.ndim, self.fields, self.aux, updates)
+            cached = (self.name, self.ndim, self.fields, self.aux, updates)
+            object.__setattr__(self, "_signature", cached)
+        return cached
 
     @property
     def halo_growth(self) -> Tuple[int, ...]:

@@ -112,17 +112,23 @@ class StencilSpec:
         Covers every field that influences evaluation (the pattern via
         its own signature, geometry, dtype, boundary, seed), so equal
         signatures imply identical model/resource/simulation results.
+        The tuple is cached on the instance (the dataclass is frozen,
+        so it can never go stale).
         """
-        return (
-            self.name,
-            self.pattern.signature(),
-            self.grid_shape,
-            self.iterations,
-            self.dtype.str,
-            self.boundary.name,
-            self.source,
-            self.seed,
-        )
+        cached = self.__dict__.get("_signature")
+        if cached is None:
+            cached = (
+                self.name,
+                self.pattern.signature(),
+                self.grid_shape,
+                self.iterations,
+                self.dtype.str,
+                self.boundary.name,
+                self.source,
+                self.seed,
+            )
+            object.__setattr__(self, "_signature", cached)
+        return cached
 
     def with_grid(self, grid_shape: Sequence[int]) -> "StencilSpec":
         """Copy with a different grid size (for scaled-down testing)."""

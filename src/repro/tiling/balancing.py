@@ -16,6 +16,7 @@ dimension, and hence (as a product across dimensions) across all tiles.
 
 from __future__ import annotations
 
+import functools
 from typing import List, Sequence, Tuple
 
 from repro.errors import SpecificationError
@@ -118,7 +119,7 @@ def balanced_tile_grid(
             f"radius {radius}"
         )
     extents = [
-        balanced_extents(
+        _balanced_extents(
             int(region_shape[d]),
             int(counts[d]),
             int(radius[d]),
@@ -128,6 +129,27 @@ def balanced_tile_grid(
         for d in range(len(counts))
     ]
     return TileGrid(extents)
+
+
+@functools.lru_cache(maxsize=4096)
+def _balanced_extents(
+    region_extent: int,
+    count: int,
+    radius: int,
+    fused_depth: int,
+    min_extent: int,
+) -> Tuple[int, ...]:
+    """:func:`balanced_extents`, memoized (bounded) for the DSE.
+
+    A sweep asks for the same few (extent, count, depth) solutions for
+    every heterogeneous candidate that shares them, and again when it
+    is searched twice (exhaustively, then tiered).
+    """
+    return tuple(
+        balanced_extents(
+            region_extent, count, radius, fused_depth, min_extent
+        )
+    )
 
 
 def balancing_factors(grid: TileGrid) -> List[Tuple[float, ...]]:

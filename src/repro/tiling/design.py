@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.errors import SpecificationError
 from repro.stencil.spec import StencilSpec
@@ -314,25 +314,14 @@ class StencilDesign:
         Used to size pipe FIFO depths: the deepest a single pipe
         fills is one face's strip for the earliest (widest-footprint)
         shared iteration.  Each field travels through its own pipe, so
-        the count is per field.
+        the count is per field.  Computed in closed form from the tile
+        grid (:func:`peak_face_transfer`).
         """
-        if not self.sharing or self.fused_depth < 2:
+        if not self.sharing:
             return 0
-        peak = 0
-        for tile in self.tiles:
-            footprint = self.footprint_shape(tile, 2)
-            for d, (r, n_shared) in enumerate(
-                zip(self.radius, self.halo_sides(tile))
-            ):
-                if n_shared == 0 or r == 0:
-                    continue
-                transverse = math.prod(
-                    footprint[j]
-                    for j in range(self.spec.ndim)
-                    if j != d
-                )
-                peak = max(peak, r * transverse)
-        return peak
+        return peak_face_transfer(
+            self.tile_grid, self.radius, self.fused_depth
+        )
 
     # -- region/block aggregation ------------------------------------------------
 
@@ -394,10 +383,43 @@ class StencilDesign:
         return replace(self, tile_grid=tile_grid)
 
 
-def auto_pipe_depth(
-    design: StencilDesign, minimum: int = 8, maximum: int = 32
+def peak_face_transfer(
+    grid: TileGrid, radius: Sequence[int], fused_depth: int
 ) -> int:
-    """FIFO depth sized for a design's halo streams.
+    """Largest single-face halo strip of a sharing design on ``grid``.
+
+    Iteration 2's footprint along ``j`` is ``w_j + r_j (h - 2) outer_j``.
+    Along a dimension ``d`` with at least two tiles and ``r_d > 0``,
+    every tile has a pipe-served side, whose strip holds ``r_d`` times
+    the footprint's transverse product.  Each factor depends on the
+    tile's position along one dimension only, and all factors are
+    positive, so the largest strip over all tiles is ``r_d`` times the
+    product of the per-dimension largest footprints — exact integers,
+    no tile walk.  Dimensions without such faces contribute nothing.
+    """
+    if fused_depth < 2:
+        return 0
+    growth = fused_depth - 2
+    widest = [
+        # A lone tile has two outer sides, end tiles one, interior none.
+        extents[0] + 2 * r * growth
+        if len(extents) == 1
+        else max(max(extents), max(extents[0], extents[-1]) + r * growth)
+        for extents, r in zip(grid.extents, radius)
+    ]
+    footprint = math.prod(widest)
+    return max(
+        (
+            r * (footprint // w)  # the transverse product, exactly
+            for w, r, k in zip(widest, radius, grid.counts)
+            if k >= 2 and r > 0
+        ),
+        default=0,
+    )
+
+
+def fifo_depth(peak_cells: int, minimum: int = 8, maximum: int = 32) -> int:
+    """FIFO depth for halo streams whose largest strip is ``peak_cells``.
 
     Rounded up to a power of two (how HLS implements FIFO depths) and
     capped so the FIFOs stay in SRL/LUTRAM territory: a pipe never
@@ -407,8 +429,15 @@ def auto_pipe_depth(
     fewer on-chip memory resources" than the overlap storage they
     replace.
     """
-    peak = max(minimum, min(maximum, design.peak_face_transfer_cells()))
+    peak = max(minimum, min(maximum, peak_cells))
     depth = 1
     while depth < peak:
         depth *= 2
     return depth
+
+
+def auto_pipe_depth(
+    design: StencilDesign, minimum: int = 8, maximum: int = 32
+) -> int:
+    """FIFO depth sized for a design's halo streams (:func:`fifo_depth`)."""
+    return fifo_depth(design.peak_face_transfer_cells(), minimum, maximum)

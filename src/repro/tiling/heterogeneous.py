@@ -13,9 +13,12 @@ from typing import Optional, Sequence
 from repro.errors import SpecificationError
 from repro.stencil.spec import StencilSpec
 from repro.tiling.balancing import balanced_tile_grid
-from dataclasses import replace
-
-from repro.tiling.design import DesignKind, StencilDesign, auto_pipe_depth
+from repro.tiling.design import (
+    DesignKind,
+    StencilDesign,
+    fifo_depth,
+    peak_face_transfer,
+)
 
 
 def make_heterogeneous_design(
@@ -62,13 +65,15 @@ def make_heterogeneous_design(
         fused_depth,
         min_extent=min_extent,
     )
-    design = StencilDesign(
+    if pipe_depth is None:
+        pipe_depth = fifo_depth(
+            peak_face_transfer(grid, spec.pattern.radius, fused_depth)
+        )
+    return StencilDesign(
         kind=DesignKind.HETEROGENEOUS,
         spec=spec,
         fused_depth=fused_depth,
         tile_grid=grid,
         unroll=unroll,
+        pipe_depth=pipe_depth,
     )
-    if pipe_depth is None:
-        pipe_depth = auto_pipe_depth(design)
-    return replace(design, pipe_depth=pipe_depth)

@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from dataclasses import replace
-
 from repro.errors import SpecificationError
 from repro.stencil.spec import StencilSpec
-from repro.tiling.design import DesignKind, StencilDesign, auto_pipe_depth
+from repro.tiling.design import (
+    DesignKind,
+    StencilDesign,
+    fifo_depth,
+    peak_face_transfer,
+)
 from repro.tiling.tile import TileGrid
 
 
@@ -46,13 +49,15 @@ def make_pipe_shared_design(
             f"rank {spec.ndim}"
         )
     grid = TileGrid.uniform(tile_shape, counts)
-    design = StencilDesign(
+    if pipe_depth is None:
+        pipe_depth = fifo_depth(
+            peak_face_transfer(grid, spec.pattern.radius, fused_depth)
+        )
+    return StencilDesign(
         kind=DesignKind.PIPE_SHARED,
         spec=spec,
         fused_depth=fused_depth,
         tile_grid=grid,
         unroll=unroll,
+        pipe_depth=pipe_depth,
     )
-    if pipe_depth is None:
-        pipe_depth = auto_pipe_depth(design)
-    return replace(design, pipe_depth=pipe_depth)

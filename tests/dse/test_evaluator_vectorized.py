@@ -198,10 +198,15 @@ class TestOutOfRangeFallback:
     def test_screen_batch(self):
         designs = mixed_range_designs()
         engine = CandidateEvaluator()
-        feasible, bounds, bram = engine.screen_batch(designs, UNLIMITED)
+        feasible, bounds, resources = engine.screen_batch(
+            designs, UNLIMITED
+        )
         assert feasible == [True, True]
         assert bounds == [engine.lower_bound(d) for d in designs]
-        assert bram == [oracle(d)[1].total.bram18 for d in designs]
+        assert [r.total.bram18 for r in resources] == [
+            oracle(d)[1].total.bram18 for d in designs
+        ]
+        assert resources == [oracle(d)[1] for d in designs]
 
     def test_program_batch(self):
         designs = mixed_range_designs()

@@ -1,5 +1,8 @@
 """Tests for Pareto-front utilities."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.dse.optimizer import EvaluatedDesign
 from repro.dse.pareto import pareto_front
 from repro.fpga.estimator import DesignResources
@@ -8,9 +11,9 @@ from repro.stencil import jacobi_2d
 from repro.tiling import make_baseline_design
 
 
-def make_candidate(cycles, bram, tile=(8, 8)):
+def make_candidate(cycles, bram, tile=(8, 8), depth=2):
     spec = jacobi_2d(grid=(32, 32), iterations=4)
-    design = make_baseline_design(spec, tile, (2, 2), 2)
+    design = make_baseline_design(spec, tile, (2, 2), depth)
     resources = DesignResources(
         total=ResourceVector(bram18=bram),
         kernels=ResourceVector(bram18=bram),
@@ -78,28 +81,69 @@ class TestParetoFront:
             assert len(front) == 1
             assert front[0] is expected
 
-    def test_objectives_computed_once_per_candidate(self):
-        calls = []
-
-        def counting(e):
-            calls.append(e)
-            return (e.predicted_cycles, float(e.resources.total.bram18))
-
-        candidates = [
-            make_candidate(100, 50),
-            make_candidate(200, 10),
-            make_candidate(300, 5),
-        ]
-        pareto_front(candidates, objectives=counting)
-        assert len(calls) == len(candidates)
-
-    def test_custom_objectives(self):
-        a = make_candidate(100, 50)
-        b = make_candidate(200, 10)
-        front = pareto_front(
-            [a, b], objectives=lambda e: (e.predicted_cycles,)
-        )
-        assert front == [a]
-
     def test_empty_input(self):
         assert pareto_front([]) == []
+
+
+def _dominates(a, b):
+    """True when ``a`` is no worse in every objective and better in one."""
+    return all(x <= y for x, y in zip(a, b)) and any(
+        x < y for x, y in zip(a, b)
+    )
+
+
+def quadratic_front(candidates):
+    """The O(n^2) dominance scan the sweep replaced (the test oracle).
+
+    Equal objective pairs collapse to the lowest ``repr`` signature;
+    every surviving pair is checked against every other; the front is
+    sorted by cycles.
+    """
+    best = {}
+    for candidate in candidates:
+        values = (
+            candidate.predicted_cycles,
+            float(candidate.resources.total.bram18),
+        )
+        kept = best.get(values)
+        if kept is None or repr(candidate.design.signature()) < repr(
+            kept.design.signature()
+        ):
+            best[values] = candidate
+    points = list(best.items())
+    front = [
+        (values, candidate)
+        for values, candidate in points
+        if not any(_dominates(other, values) for other, _ in points)
+    ]
+    front.sort(key=lambda pair: pair[0][0])
+    return [candidate for _values, candidate in front]
+
+
+#: Few distinct values per objective, so random draws are full of
+#: duplicate tuples, tied cycles and tied BRAM counts; distinct
+#: designs make the duplicate tie-break observable.
+_points = st.lists(
+    st.tuples(
+        st.sampled_from([100.0, 150.5, 200.0, 250.0, 300.0]),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from([(8, 8), (16, 4), (4, 16)]),
+        st.integers(min_value=1, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+class TestSweepMatchesQuadraticOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_points)
+    def test_random_inputs(self, points):
+        candidates = [
+            make_candidate(cycles, bram, tile=tile, depth=depth)
+            for cycles, bram, tile, depth in points
+        ]
+        front = pareto_front(candidates)
+        expected = quadratic_front(candidates)
+        assert [id(c) for c in front] == [id(c) for c in expected]
+        cycles = [c.predicted_cycles for c in front]
+        assert cycles == sorted(set(cycles))

@@ -132,11 +132,15 @@ class TestScreenBatch:
         )
         budget = _budget()
         engine = CandidateEvaluator()
-        feasible, bounds, bram = engine.screen_batch(designs, budget)
-        totals = [ResourceEstimator().estimate(d).total for d in designs]
+        feasible, bounds, resources = engine.screen_batch(designs, budget)
+        estimates = [ResourceEstimator().estimate(d) for d in designs]
+        totals = [e.total for e in estimates]
         assert feasible == [t.fits_within(budget.limit) for t in totals]
         assert bounds == [engine.lower_bound(d) for d in designs]
-        assert bram == [t.bram18 for t in totals]
+        assert [r.total.bram18 for r in resources] == [
+            t.bram18 for t in totals
+        ]
+        assert resources == estimates
 
     def test_does_not_grow_the_memo(self, small_jacobi2d):
         designs = _mixed_candidates(
@@ -548,37 +552,6 @@ class TestOptimizerIntegration:
         driver = SearchDriver(chunk_size=16, screen="latency")
         with pytest.raises(DesignSpaceError, match="latency screen"):
             pareto_explore([], _budget(), driver=driver)
-
-    def test_pareto_explore_custom_objectives_need_no_screen(
-        self, spec
-    ):
-        def objectives(e):
-            return (float(e.resources.total.dsp), e.predicted_cycles)
-
-        space = _space(spec, max_fused_depth=8)
-        designs = _mixed_candidates(spec, space)
-        budget = _budget()
-        with pytest.raises(DesignSpaceError, match="screen=None"):
-            pareto_explore(
-                designs,
-                budget,
-                objectives=objectives,
-                driver=SearchDriver(chunk_size=16, screen="pareto"),
-            )
-        reference = pareto_explore(
-            designs, budget, objectives=objectives
-        )
-        tiered = pareto_explore(
-            iter(designs),
-            budget,
-            objectives=objectives,
-            driver=SearchDriver(
-                evaluator=CandidateEvaluator(),
-                chunk_size=16,
-                screen=None,
-            ),
-        )
-        assert _signature_view(tiered) == _signature_view(reference)
 
 
 @st.composite
