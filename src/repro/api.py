@@ -74,9 +74,6 @@ class SynthesisResult:
             (``None`` when ``emit=False``).
         evaluator: the engine that scored the candidates; reuse it
             across calls to share its memo and backing store.
-        sim_backend: the resolved value-execution simulator backend
-            (``"numpy"`` or ``"jit"``) any functional execution of
-            this result's designs will use.
     """
 
     spec: StencilSpec
@@ -87,7 +84,6 @@ class SynthesisResult:
     resources: DesignResources
     program: Optional[GeneratedProgram]
     evaluator: CandidateEvaluator
-    sim_backend: str = "numpy"
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,6 @@ class ProgramSynthesisResult:
             ``emit=False``).
         evaluator: the program engine that scored the candidates;
             reuse it across calls to share its memo and backing store.
-        sim_backend: the resolved value-execution simulator backend.
     """
 
     program_spec: ProgramSpec
@@ -115,7 +110,6 @@ class ProgramSynthesisResult:
     resources: DesignResources
     pipeline: Optional[GeneratedPipeline]
     evaluator: ProgramEvaluator
-    sim_backend: str = "numpy"
 
 
 def default_baseline_parameters(
@@ -192,35 +186,13 @@ def _synthesize_program(
     evaluator: Optional[CandidateEvaluator],
     driver: Optional["SearchDriver"],
     emit: bool,
-    sim_backend: Optional[str],
 ) -> ProgramSynthesisResult:
     """The multi-stage arm of :func:`synthesize`."""
-    from repro.sim import jit as sim_jit
-
-    resolved_backend = sim_jit.resolve_backend(sim_backend)
-    with obs.span(
-        "api.synthesize",
-        design="program",
-        schedule=schedule,
-        sim_backend=resolved_backend,
-    ):
+    with obs.span("api.synthesize", design="program", schedule=schedule):
         if driver is not None:
+            # optimize_program rejects a driver whose engine is not a
+            # ProgramEvaluator.
             engine = driver.evaluator
-            if not isinstance(engine, ProgramEvaluator):
-                # A single-stencil driver: wrap its engine (keeping its
-                # memo/store) and rebuild the driver around the wrapper
-                # with the same tiering configuration.
-                from repro.dse.search import SearchDriver
-
-                engine = ProgramEvaluator(stage_engine=engine)
-                driver = SearchDriver(
-                    evaluator=engine,
-                    chunk_size=driver.chunk_size,
-                    screen=driver.screen,
-                    checkpoint=driver.checkpoint,
-                    search_key=driver.search_key,
-                    shard=driver.shard,
-                )
         elif isinstance(evaluator, ProgramEvaluator):
             engine = evaluator
         elif evaluator is not None:
@@ -250,7 +222,6 @@ def _synthesize_program(
         resources=best.resources,
         pipeline=pipeline,
         evaluator=engine,
-        sim_backend=resolved_backend,
     )
 
 
@@ -274,7 +245,6 @@ def synthesize(
     evaluator: Optional[CandidateEvaluator] = None,
     driver: Optional["SearchDriver"] = None,
     emit: bool = True,
-    sim_backend: Optional[str] = None,
 ) -> "SynthesisResult | ProgramSynthesisResult":
     """Extract → optimize → codegen, as one call.
 
@@ -316,18 +286,14 @@ def synthesize(
             tiered (screen-then-refine) exploration; its evaluator
             takes precedence over ``evaluator``.  Ignored for the
             ``"baseline"`` design kind, which scores one candidate.
+            With ``program``, it must be built on a
+            :class:`~repro.program.evaluator.ProgramEvaluator`.
         emit: generate the OpenCL program for the chosen design.
-        sim_backend: value-execution simulator backend request
-            (``"auto" | "numpy" | "jit"``; default: the process
-            default / ``REPRO_SIM_BACKEND`` / ``"auto"``).  The
-            resolved choice is reported on the result.
 
     Returns:
         A :class:`SynthesisResult`, or a
         :class:`ProgramSynthesisResult` when ``program`` is given.
     """
-    from repro.sim import jit as sim_jit
-
     if program is not None:
         if source is not None or benchmark is not None:
             raise SpecificationError(
@@ -341,17 +307,13 @@ def synthesize(
             evaluator=evaluator,
             driver=driver,
             emit=emit,
-            sim_backend=sim_backend,
         )
     if design not in DESIGN_KINDS:
         raise SpecificationError(
             f"Unknown design kind {design!r}; expected one of "
             f"{DESIGN_KINDS}"
         )
-    resolved_backend = sim_jit.resolve_backend(sim_backend)
-    with obs.span(
-        "api.synthesize", design=design, sim_backend=resolved_backend
-    ):
+    with obs.span("api.synthesize", design=design):
         spec = _resolve_spec(
             source, benchmark, name, field_map, aux, grid_shape,
             iterations,
@@ -399,5 +361,4 @@ def synthesize(
         resources=best.resources,
         program=program,
         evaluator=engine,
-        sim_backend=resolved_backend,
     )

@@ -21,13 +21,12 @@ from repro.dse.optimizer import (
     optimize_heterogeneous,
     optimize_pipe_shared,
 )
-from repro.dse.pareto import pareto_explore, pareto_front
+from repro.dse.pareto import pareto_front
 from repro.dse.search import (
     SCREEN_MODES,
     SearchDriver,
     SearchFrontier,
     SearchReport,
-    merge_results,
 )
 from repro.dse.sensitivity import (
     SensitivityAnalyzer,
@@ -51,12 +50,10 @@ __all__ = [
     "SearchDriver",
     "SearchFrontier",
     "SearchReport",
-    "merge_results",
     "optimize_baseline",
     "optimize_full",
     "optimize_heterogeneous",
     "optimize_pipe_shared",
-    "pareto_explore",
     "pareto_front",
     "SensitivityAnalyzer",
     "SweepPoint",

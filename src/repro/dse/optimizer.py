@@ -11,12 +11,11 @@ so callers can share one engine — and therefore its signature memo —
 across searches.
 
 Candidate enumeration is *streaming*: every entry point builds a lazy
-generator and hands it to a :class:`~repro.dse.search.SearchDriver`.
-Without an explicit ``driver`` the passthrough driver reproduces the
-historical exhaustive exploration bit for bit; passing a tiered driver
-(``SearchDriver(chunk_size=..., screen=...)``) turns the same search
-into a chunked screen-then-refine sweep with O(chunk) candidate
-residency and an optional resume checkpoint (see ``docs/SEARCH.md``).
+generator.  Without a ``driver`` the engine scores the whole stream
+exhaustively (``engine.explore``); passing a tiered
+:class:`~repro.dse.search.SearchDriver` turns the same search into a
+chunked screen-then-refine sweep with O(chunk) candidate residency and
+an optional resume checkpoint (see ``docs/SEARCH.md``).
 """
 
 from __future__ import annotations
@@ -73,27 +72,16 @@ def _run_search(
     driver: Optional[SearchDriver],
     candidates: Iterator[StencilDesign],
     budget: ResourceBudget,
-    entry: str,
-    identity: Optional[dict] = None,
+    identity: dict,
 ) -> DSEResult:
-    """Route one search through a driver (a passthrough one by default).
+    """Score the stream exhaustively, or through ``driver`` when given.
 
-    The passthrough driver delegates to ``engine.explore``, which
-    keeps the default path bit-identical to the historical
-    materialized exploration.  With a checkpointing driver, the
-    checkpoint key fingerprints the candidate stream (entry point,
-    spec, and search knobs), so several searches can share one
-    checkpoint file without colliding.
+    ``identity`` fingerprints the stream (entry point, spec and search
+    knobs); a checkpointing driver files the search's records under it.
     """
     if driver is None:
-        driver = SearchDriver(evaluator=engine, chunk_size=None)
-    key = None
-    if driver.checkpoint is not None:
-        from repro.store.backing import digest
-
-        prefix = driver.search_key or "search"
-        key = f"{prefix}:{entry}:{digest(identity or entry)[:12]}"
-    return driver.run(candidates, budget, key=key)
+        return engine.explore(list(candidates), budget)
+    return driver.run(candidates, budget, identity=identity)
 
 
 def baseline_candidates(space: DesignSpace) -> Iterator[StencilDesign]:
@@ -131,8 +119,8 @@ def optimize_baseline(
         driver,
         baseline_candidates(space),
         ResourceBudget.from_device(device),
-        entry="baseline",
         identity={
+            "entry": "baseline",
             "spec": spec.signature(),
             "counts": space.counts,
             "tiles": space.tile_candidates,
@@ -178,8 +166,8 @@ def optimize_pipe_shared(
         driver,
         candidates,
         budget,
-        entry="pipe-shared",
         identity={
+            "entry": "pipe-shared",
             "spec": spec.signature(),
             "baseline": baseline.signature(),
         },
@@ -284,6 +272,7 @@ def optimize_full(
     budget = ResourceBudget.from_device(device)
     engine = _resolve_evaluator(evaluator, board, driver=driver)
     knobs = {
+        "entry": "full",
         "spec": spec.signature(),
         "unroll": unroll,
         "max_kernels": max_kernels,
@@ -309,7 +298,6 @@ def optimize_full(
                 max_tile_options=max_tile_options,
             ),
             budget,
-            entry=f"full:{label}",
             identity=dict(knobs, kind=label),
         )
     return results
@@ -355,8 +343,8 @@ def optimize_heterogeneous(
         driver,
         candidates(),
         budget,
-        entry="heterogeneous",
         identity={
+            "entry": "heterogeneous",
             "spec": spec.signature(),
             "baseline": baseline.signature(),
         },

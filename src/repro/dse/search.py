@@ -28,13 +28,15 @@ argument precisely).
 With a :class:`~repro.store.checkpoint.SearchCheckpoint` attached,
 every completed chunk's survivors are durably recorded; a killed
 sweep resumes by re-enumerating the (deterministic) stream and
-replaying recorded chunks, and independent workers can shard one
-stream by interleaving chunks (``shard=(index, count)``) and merging
-their partial results with :func:`merge_results`.
+replaying recorded chunks.
+
+A caller that passes no driver runs the exhaustive search instead:
+``evaluator.explore(list(candidates), budget)``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -64,7 +66,6 @@ __all__ = [
     "SearchDriver",
     "SearchFrontier",
     "SearchReport",
-    "merge_results",
 ]
 
 _log = obs.get_logger("dse.search")
@@ -175,7 +176,6 @@ class SearchReport:
 
     chunks: int = 0
     replayed_chunks: int = 0
-    skipped_chunks: int = 0
     candidates: int = 0
     infeasible: int = 0
     screened: int = 0
@@ -187,19 +187,7 @@ class SearchReport:
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view (JSON-ready)."""
-        return {
-            "chunks": self.chunks,
-            "replayed_chunks": self.replayed_chunks,
-            "skipped_chunks": self.skipped_chunks,
-            "candidates": self.candidates,
-            "infeasible": self.infeasible,
-            "screened": self.screened,
-            "promoted": self.promoted,
-            "tier1_evaluations": self.tier1_evaluations,
-            "peak_resident": self.peak_resident,
-            "band_size": self.band_size,
-            "wall_time_s": self.wall_time_s,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -218,34 +206,25 @@ class SearchDriver:
     Args:
         evaluator: the exact Tier-1 engine (a serial
             :class:`CandidateEvaluator` is built when omitted).
-        chunk_size: candidates materialized at a time.  ``None``
-            selects the passthrough mode: :meth:`run` delegates to
-            ``evaluator.explore(list(candidates), budget)`` and is
-            bit-for-bit the historical exhaustive path (the
-            ``optimize_*`` default).
+        chunk_size: candidates materialized at a time (at least 1).
         screen: Tier-0 mode, one of :data:`SCREEN_MODES`.
         checkpoint: optional durable chunk store; completed chunks
             replay on resume instead of re-scoring.
-        search_key: identifier grouping this search's checkpoint
-            records; required when several searches share one
-            checkpoint file (``run``'s ``key`` argument overrides it
-            per call).
-        shard: ``(index, count)`` — process only chunks with
-            ``chunk_index % count == index``.  Each shard must use its
-            own checkpoint search id; merge partial results with
-            :func:`merge_results`.
+        search_key: prefix of this driver's checkpoint search ids.
+            :meth:`run` appends a digest of the caller's stream
+            identity, so several searches can share one checkpoint
+            file.
     """
 
     def __init__(
         self,
         evaluator: Optional[CandidateEvaluator] = None,
-        chunk_size: Optional[int] = 1024,
+        chunk_size: int = 1024,
         screen: Optional[str] = "latency",
         checkpoint: Optional[SearchCheckpoint] = None,
         search_key: Optional[str] = None,
-        shard: Tuple[int, int] = (0, 1),
     ):
-        if chunk_size is not None and chunk_size < 1:
+        if chunk_size is None or chunk_size < 1:
             raise DesignSpaceError(
                 f"chunk_size must be >= 1, got {chunk_size}"
             )
@@ -254,15 +233,11 @@ class SearchDriver:
                 f"Unknown screen mode {screen!r}; expected one of "
                 f"{SCREEN_MODES}"
             )
-        index, count = shard
-        if count < 1 or not 0 <= index < count:
-            raise DesignSpaceError(f"Invalid shard {shard!r}")
         self.evaluator = evaluator or CandidateEvaluator()
         self.chunk_size = chunk_size
         self.screen = screen
         self.checkpoint = checkpoint
         self.search_key = search_key
-        self.shard = (index, count)
         #: Counters of the most recent :meth:`run`.
         self.report = SearchReport()
 
@@ -285,8 +260,16 @@ class SearchDriver:
             },
             "chunk_size": self.chunk_size,
             "screen": self.screen,
-            "shard": list(self.shard),
         }
+
+    def _search_id(
+        self, budget: ResourceBudget, identity: Optional[dict]
+    ) -> str:
+        """The checkpoint id of one :meth:`run`."""
+        if identity is not None:
+            prefix = self.search_key or "search"
+            return f"{prefix}:{digest(identity)[:12]}"
+        return self.search_key or digest(self._meta(budget))[:16]
 
     @staticmethod
     def _chunk_payload(
@@ -414,46 +397,38 @@ class SearchDriver:
         self,
         candidates: Iterable[StencilDesign],
         budget: ResourceBudget,
-        key: Optional[str] = None,
+        identity: Optional[dict] = None,
     ) -> DSEResult:
         """Search a candidate stream; return the frontier's result.
 
-        In passthrough mode (``chunk_size=None``) this is exactly
-        ``evaluator.explore``.  In tiered mode the returned
-        :class:`DSEResult` carries the incumbent best (bitwise-equal
-        to the exhaustive best), the frontier members as
-        ``candidates``, and the band under ``frontier``;
-        ``evaluated``/``feasible`` count this shard's streamed and
-        feasible candidates.
+        The returned :class:`DSEResult` carries the incumbent best
+        (bitwise-equal to the exhaustive best), the frontier members
+        as ``candidates``, and the band under ``frontier``;
+        ``evaluated``/``feasible`` count the streamed and feasible
+        candidates.
+
+        ``identity`` fingerprints the stream (entry point, spec and
+        search knobs).  With a checkpoint attached, the search's
+        records live under ``search_key`` plus its digest.
         """
-        if self.chunk_size is None:
-            return self.evaluator.explore(list(candidates), budget)
         checkpoint = self.checkpoint
-        search = key or self.search_key
         if checkpoint is not None:
-            if search is None:
-                search = digest(self._meta(budget))[:16]
+            search = self._search_id(budget, identity)
             checkpoint.begin(search, self._meta(budget))
         frontier = SearchFrontier()
         run_stats = EvaluationStats()
         report = SearchReport()
         start = time.perf_counter()
         stream = iter(candidates)
-        index = 0
-        shard_index, shard_count = self.shard
         with obs.span(
             "search.run",
             chunk_size=self.chunk_size,
             screen=self.screen or "off",
         ) as run_span:
-            while True:
+            for index in itertools.count():
                 chunk = list(itertools.islice(stream, self.chunk_size))
                 if not chunk:
                     break
-                if index % shard_count != shard_index:
-                    report.skipped_chunks += 1
-                    index += 1
-                    continue
                 payload = (
                     checkpoint.chunk(search, index)
                     if checkpoint is not None
@@ -496,7 +471,6 @@ class SearchDriver:
                 obs.set_gauge(
                     "search.peak_resident", report.peak_resident
                 )
-                index += 1
             run_span.set(
                 chunks=report.chunks, promoted=report.promoted
             )
@@ -525,39 +499,3 @@ class SearchDriver:
             stats=run_stats,
             frontier=frontier.band,
         )
-
-
-def merge_results(results: Sequence[DSEResult]) -> DSEResult:
-    """Merge partial shard results into one :class:`DSEResult`.
-
-    The best design is the minimum over shards by ``(cycles, BRAM,
-    signature)`` — stream order is not observable across shards, so
-    ties break deterministically by signature instead.  Bands merge
-    through :func:`~repro.dse.pareto.pareto_front`.
-    """
-    results = [r for r in results if r is not None]
-    if not results:
-        raise DesignSpaceError("No shard results to merge")
-    frontier = SearchFrontier()
-    stats = EvaluationStats()
-    evaluated = feasible = 0
-    pool: List[EvaluatedDesign] = []
-    for result in results:
-        evaluated += result.evaluated
-        feasible += result.feasible
-        if result.stats is not None:
-            stats.merge(result.stats)
-        pool.extend(result.candidates)
-    if not pool:
-        raise DesignSpaceError("No feasible design across shards")
-    pool.sort(key=_band_sort_key)
-    frontier.extend(pool)
-    best = pool[0]
-    return DSEResult(
-        best=best,
-        evaluated=evaluated,
-        feasible=feasible,
-        candidates=frontier.members(),
-        stats=stats,
-        frontier=frontier.band,
-    )

@@ -356,8 +356,6 @@ def _cmd_serve(args, session: _StoreSession) -> List[str]:
             worker_processes=args.worker_processes,
             queue_depth=args.queue_depth,
             default_timeout_s=args.job_timeout,
-            tiered=args.tiered,
-            search_chunk_size=args.chunk_size,
             telemetry=telemetry,
             slo_p99_target_s=args.slo_p99,
         )
@@ -369,8 +367,6 @@ def _cmd_serve(args, session: _StoreSession) -> List[str]:
             workers=args.workers,
             queue_depth=args.queue_depth,
             default_timeout_s=args.job_timeout,
-            tiered=args.tiered,
-            search_chunk_size=args.chunk_size,
             telemetry=telemetry,
             slo_p99_target_s=args.slo_p99,
         )
@@ -633,10 +629,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--tiered",
         action="store_true",
         help=(
-            "route design-space exploration through the tiered "
-            "screen-then-refine SearchDriver (same best designs, far "
-            "fewer exact evaluations; with --store, interrupted "
-            "searches resume from searches.jsonl)"
+            "'optimize', 'simulate', 'codegen', 'program': route "
+            "design-space exploration through the tiered "
+            "screen-then-refine SearchDriver (same best designs; with "
+            "--store, interrupted searches resume from searches.jsonl)"
         ),
     )
     parser.add_argument(
@@ -644,7 +640,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1024,
         metavar="N",
-        help="candidates per tiered-search chunk (with --tiered)",
+        help=(
+            "'optimize', 'simulate', 'codegen', 'program': candidates "
+            "per tiered-search chunk (with --tiered)"
+        ),
     )
     parser.add_argument(
         "--trace-out",

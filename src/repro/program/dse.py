@@ -5,11 +5,11 @@ every stage independently picks a ``(parallelism, tile shape, fusion
 depth, balancing)`` point from the same enumerations the paper's
 single-stencil searches use (:func:`~repro.dse.optimizer.full_space_candidates`
 with tighter caps — the product grows multiplicatively).  Candidates
-stream lazily through the existing tiered
-:class:`~repro.dse.search.SearchDriver`, so program searches get the
-vectorized Tier-0 screen (per-stage admissible bounds composed along
-the DAG), chunked O(chunk) residency, resume checkpoints, and sharding
-for free.
+stream lazily, either into one exhaustive ``explore`` or through the
+tiered :class:`~repro.dse.search.SearchDriver`, so program searches get
+the vectorized Tier-0 screen (per-stage admissible bounds composed
+along the DAG), chunked O(chunk) residency and resume checkpoints for
+free.
 
 :func:`optimize_program` is the program analogue of ``optimize_full``;
 :func:`optimize_stages_independently` is the ablation baseline the
@@ -159,9 +159,8 @@ def optimize_program(
         evaluator: a shared :class:`ProgramEvaluator` (one is built
             when omitted; ignored when ``driver`` carries its own).
         driver: a tiered :class:`~repro.dse.search.SearchDriver` built
-            on a :class:`ProgramEvaluator` for chunked screening,
-            checkpoint resume, and sharding; the default passthrough
-            driver explores exhaustively.
+            on a :class:`ProgramEvaluator` for chunked screening and
+            checkpoint resume; without one the search is exhaustive.
 
     Returns:
         The usual :class:`~repro.dse.evaluator.DSEResult`, with
@@ -187,24 +186,19 @@ def optimize_program(
     }
     candidates = program_candidates(program, options, schedule)
     if driver is None:
-        driver = SearchDriver(evaluator=engine, chunk_size=None)
-    key = None
-    if driver.checkpoint is not None:
-        from repro.store.backing import digest
-
-        prefix = driver.search_key or "search"
-        identity = {
-            "program": program.signature(),
-            "schedule": schedule,
-            "kinds": [k.value for k in kinds],
-            "unroll": unroll,
-            "max_kernels": max_kernels,
-            "max_fused_depth": max_fused_depth,
-            "max_tile_options": max_tile_options,
-            "budget": budget.label,
-        }
-        key = f"{prefix}:program:{digest(identity)[:12]}"
-    return driver.run(candidates, budget, key=key)
+        return engine.explore(list(candidates), budget)
+    identity = {
+        "entry": "program",
+        "program": program.signature(),
+        "schedule": schedule,
+        "kinds": [k.value for k in kinds],
+        "unroll": unroll,
+        "max_kernels": max_kernels,
+        "max_fused_depth": max_fused_depth,
+        "max_tile_options": max_tile_options,
+        "budget": budget.label,
+    }
+    return driver.run(candidates, budget, identity=identity)
 
 
 def optimize_stages_independently(

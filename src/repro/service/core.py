@@ -45,7 +45,6 @@ from typing import Any, Dict, List, Optional, Tuple, Type
 from repro import obs
 from repro.api import ProgramSynthesisResult, SynthesisResult, synthesize
 from repro.dse.evaluator import CandidateEvaluator
-from repro.dse.search import SearchDriver
 from repro.errors import (
     JobCancelledError,
     ReproError,
@@ -179,24 +178,15 @@ def program_result_payload(synth: ProgramSynthesisResult) -> Dict[str, Any]:
 def run_synthesis_pipeline(
     request: JobRequest,
     evaluator: CandidateEvaluator,
-    tiered: bool = False,
-    search_chunk_size: int = 1024,
     job_id: str = "job",
 ) -> Dict[str, Any]:
     """The full facade pipeline for one request, instrumented.
 
     Module-level (not a service method) so worker *processes* of the
     sharded service run the exact same body against their own warm
-    evaluator — byte-identical payloads by construction.
+    evaluator — byte-identical payloads by construction.  Each job
+    runs the exhaustive search on the shared engine.
     """
-    # One driver per job: the engine (and its memo/store) is the
-    # shared warm state; SearchDriver.report is per-run and must
-    # not be contended across worker threads.
-    driver = (
-        SearchDriver(evaluator=evaluator, chunk_size=search_chunk_size)
-        if tiered
-        else None
-    )
     if request.program is not None:
         from repro.program.library import get_program
 
@@ -213,7 +203,6 @@ def run_synthesis_pipeline(
                 program=program,
                 schedule=request.schedule,
                 evaluator=evaluator,
-                driver=driver,
             )
         return program_result_payload(synth)
     with obs.span(
@@ -233,7 +222,6 @@ def run_synthesis_pipeline(
             unroll=request.unroll,
             design=request.design,
             evaluator=evaluator,
-            driver=driver,
         )
     return result_payload(synth)
 
@@ -259,12 +247,6 @@ class SynthesisService:
             server must not grow without bound).
         max_history: finished jobs kept for status queries; older ones
             are evicted oldest-first.
-        tiered: route each job's exploration through a
-            :class:`~repro.dse.search.SearchDriver` (Tier-0 vectorized
-            screen, Tier-1 exact scoring) instead of the materialized
-            exhaustive sweep.  Identical best designs, far fewer exact
-            evaluations on large spaces (see ``docs/SEARCH.md``).
-        search_chunk_size: candidates per driver chunk when tiered.
         transient: exception types treated as retryable.
         pipeline: override of the job body (tests inject slow/failing
             pipelines); receives ``(job, evaluator)`` and returns the
@@ -275,10 +257,6 @@ class SynthesisService:
             snapshot) on shutdown.
         slo_p99_target_s: p99 job-latency objective backing the
             derived ``service.slo.*`` gauges (see :meth:`slo_gauges`).
-        sim_backend: value-execution simulator backend request
-            (``"auto" | "numpy" | "jit"``); resolved lazily and
-            reported under ``/healthz`` as ``sim_backend``.  ``None``
-            defers to the process default / ``REPRO_SIM_BACKEND``.
     """
 
     def __init__(
@@ -293,13 +271,10 @@ class SynthesisService:
         default_timeout_s: Optional[float] = None,
         max_memo_entries: Optional[int] = 4096,
         max_history: int = 1024,
-        tiered: bool = False,
-        search_chunk_size: int = 1024,
         transient: Tuple[Type[BaseException], ...] = DEFAULT_TRANSIENT,
         pipeline=None,
         telemetry: Optional[TelemetryJournal] = None,
         slo_p99_target_s: float = 120.0,
-        sim_backend: Optional[str] = None,
     ):
         if workers < 1:
             raise ServiceError(f"workers must be >= 1, got {workers}")
@@ -317,9 +292,6 @@ class SynthesisService:
         self.retry_backoff_s = retry_backoff_s
         self.default_timeout_s = default_timeout_s
         self.transient = tuple(transient)
-        self.tiered = tiered
-        self.search_chunk_size = search_chunk_size
-        self.sim_backend = sim_backend
         self.stats = ServiceStats()
         self._pipeline = pipeline or self._synthesize_pipeline
         self._active = threading.local()
@@ -488,23 +460,21 @@ class SynthesisService:
         return job
 
     def _sim_backend_report(self) -> Dict[str, Any]:
-        """Resolved simulator-backend summary for ``/healthz``, cached.
+        """The process-default simulator backend for ``/healthz``, cached.
 
         Resolving the backend imports :mod:`repro.sim.jit` and may
         probe a C compiler via subprocess, so this must never run
         under ``self._lock`` — a slow probe would stall every
-        ``submit``/``_finalize`` behind a health check.  The resolution
-        cannot change within one process, so the first answer is
-        cached; the dedicated lock only stops concurrent health checks
-        from probing the compiler twice.
+        ``submit``/``_finalize`` behind a health check.  The CLI sets
+        the process default (``--sim-backend``) before a service
+        starts, so the first answer is cached; the dedicated lock only
+        stops concurrent health checks from probing the compiler twice.
         """
         with self._sim_report_lock:
             if self._sim_report is None:
                 from repro.sim import jit as sim_jit
 
-                self._sim_report = sim_jit.backend_report(
-                    self.sim_backend
-                )
+                self._sim_report = sim_jit.backend_report()
             return self._sim_report
 
     def evaluator_stats(self) -> Dict[str, Any]:
@@ -537,7 +507,6 @@ class SynthesisService:
                 "queue_capacity": self._queue.max_depth,
                 "running": self._running,
                 "avg_job_s": self._avg_job_s,
-                "tiered": self.tiered,
                 "sim_backend": sim_report,
                 "store_attached": self.store is not None,
                 "telemetry_attached": self.telemetry is not None,
@@ -598,13 +567,7 @@ class SynthesisService:
         self, job: Job, evaluator: CandidateEvaluator
     ) -> Dict[str, Any]:
         """Default job body: the shared module-level pipeline."""
-        return run_synthesis_pipeline(
-            job.request,
-            evaluator,
-            tiered=self.tiered,
-            search_chunk_size=self.search_chunk_size,
-            job_id=job.id,
-        )
+        return run_synthesis_pipeline(job.request, evaluator, job_id=job.id)
 
     def _worker_loop(self) -> None:
         while True:

@@ -101,10 +101,7 @@ class ReplicaConfig:
     fidelity: Fidelity
     store_root: Optional[str]
     store_sync: str
-    tiered: bool
-    search_chunk_size: int
     max_memo_entries: Optional[int]
-    sim_backend: Optional[str]
     transient: Tuple[Type[BaseException], ...]
     obs_enabled: bool
     obs_capture_spans: bool
@@ -207,11 +204,7 @@ def _replica_run_one(
     try:
         with activate_trace(trace):
             payload = run_synthesis_pipeline(
-                request,
-                evaluator,
-                tiered=config.tiered,
-                search_chunk_size=config.search_chunk_size,
-                job_id=job_id,
+                request, evaluator, job_id=job_id
             )
         reply.update(status="ok", payload=payload)
     except JobCancelledError as exc:
@@ -455,12 +448,9 @@ class ShardedSynthesisService(SynthesisService):
         default_timeout_s: Optional[float] = None,
         max_memo_entries: Optional[int] = 4096,
         max_history: int = 1024,
-        tiered: bool = False,
-        search_chunk_size: int = 1024,
         transient: Tuple[Type[BaseException], ...] = DEFAULT_TRANSIENT,
         telemetry: Optional[TelemetryJournal] = None,
         slo_p99_target_s: float = 120.0,
-        sim_backend: Optional[str] = None,
     ):
         if worker_processes < 1:
             raise ServiceError(
@@ -472,10 +462,7 @@ class ShardedSynthesisService(SynthesisService):
             fidelity=fidelity,
             store_root=str(store_root) if store_root is not None else None,
             store_sync=store_sync,
-            tiered=tiered,
-            search_chunk_size=search_chunk_size,
             max_memo_entries=max_memo_entries,
-            sim_backend=sim_backend,
             transient=tuple(transient),
             obs_enabled=obs.enabled(),
             obs_capture_spans=obs.capture_spans(),
@@ -505,13 +492,10 @@ class ShardedSynthesisService(SynthesisService):
             default_timeout_s=default_timeout_s,
             max_memo_entries=max_memo_entries,
             max_history=max_history,
-            tiered=tiered,
-            search_chunk_size=search_chunk_size,
             transient=transient,
             pipeline=self._remote_pipeline,
             telemetry=telemetry,
             slo_p99_target_s=slo_p99_target_s,
-            sim_backend=sim_backend,
         )
         self.worker_processes = worker_processes
         obs.set_gauge("service.replicas", worker_processes)

@@ -14,7 +14,7 @@ makes them durable artifacts instead of per-process throwaways:
   and writes through on evaluation.
 - :mod:`repro.store.checkpoint` — :class:`SweepCheckpoint` and
   :class:`CheckpointedExecutor` for resumable experiment sweeps, and
-  :class:`SearchCheckpoint` for resumable/shardable tiered searches
+  :class:`SearchCheckpoint` for resumable tiered searches
   (see ``docs/SEARCH.md``).
 
 Typical warm-start usage::
@@ -24,7 +24,7 @@ Typical warm-start usage::
 
     with DesignStore("results-store") as store:
         engine = CandidateEvaluator(store=store)
-        ...  # optimize_* / pareto_explore / sensitivity
+        ...  # optimize_* / synthesize / sensitivity
 
 Formats, invalidation rules, and resume semantics are documented in
 ``docs/STORE.md``.

@@ -130,7 +130,7 @@ class SearchCheckpoint:
 
     Records are grouped under a caller-chosen search id; a ``meta``
     record written at :meth:`begin` pins the search configuration
-    (budget, evaluation context, chunk size, screen mode, shard) and
+    (budget, evaluation context, chunk size, screen mode) and
     a mismatch on resume raises :class:`~repro.errors.StoreError`
     instead of silently mixing two different searches.
 

@@ -25,12 +25,10 @@ from repro.dse import (
     ResourceBudget,
     SearchDriver,
     baseline_candidates,
-    merge_results,
     optimize_baseline,
     optimize_full,
     optimize_heterogeneous,
     optimize_pipe_shared,
-    pareto_explore,
     pareto_front,
 )
 from repro.dse import evaluator as evaluator_module
@@ -191,34 +189,16 @@ class TestDriverValidation:
     def test_rejects_bad_chunk_size(self):
         with pytest.raises(DesignSpaceError, match="chunk_size"):
             SearchDriver(chunk_size=0)
+        # The exhaustive search is engine.explore, not a driver mode.
+        with pytest.raises(DesignSpaceError, match="chunk_size"):
+            SearchDriver(chunk_size=None)
 
     def test_rejects_unknown_screen(self):
         with pytest.raises(DesignSpaceError, match="screen"):
             SearchDriver(screen="resources")
 
-    def test_rejects_bad_shard(self):
-        with pytest.raises(DesignSpaceError, match="shard"):
-            SearchDriver(shard=(2, 2))
-        with pytest.raises(DesignSpaceError, match="shard"):
-            SearchDriver(shard=(0, 0))
-
 
 class TestDriverEquivalence:
-    def test_passthrough_is_exhaustive_explore(self, small_jacobi2d):
-        designs = _mixed_candidates(
-            small_jacobi2d, _space(small_jacobi2d)
-        )
-        budget = _budget()
-        reference = CandidateEvaluator().explore(designs, budget)
-        driver = SearchDriver(
-            evaluator=CandidateEvaluator(), chunk_size=None
-        )
-        result = driver.run(iter(designs), budget)
-        _assert_same_best(result, reference)
-        assert _signature_view(result.candidates) == _signature_view(
-            reference.candidates
-        )
-
     @pytest.mark.parametrize("screen", [None, "latency", "pareto"])
     @pytest.mark.parametrize("chunk_size", [1, 7, 64, 10_000])
     def test_best_and_frontier_match_exhaustive(
@@ -379,6 +359,38 @@ class TestCheckpointResume:
             with pytest.raises(StoreError, match="different config"):
                 changed.run(iter(designs), _budget())
 
+    def test_sharded_meta_is_refused(self, tmp_path, small_jacobi2d):
+        """A search recorded with a ``"shard"`` meta field (written by
+        versions that could shard a stream) never replays."""
+        designs = _mixed_candidates(
+            small_jacobi2d, _space(small_jacobi2d)
+        )
+        budget = _budget()
+        path = tmp_path / "search.jsonl"
+        with SearchCheckpoint(path) as ck:
+            driver = self._driver(ck)
+            ck.begin("test", dict(driver._meta(budget), shard=[0, 1]))
+            with pytest.raises(StoreError, match="different config"):
+                driver.run(iter(designs), budget)
+
+    def test_optimize_full_kinds_share_one_checkpoint(self, tmp_path):
+        """Each kind's search gets its own id from its stream identity:
+        no kind replays another's chunks, and a rerun replays all three
+        and scores nothing."""
+        spec = jacobi_2d(grid=(64, 64), iterations=16)
+        knobs = dict(unroll=2, max_kernels=4, max_fused_depth=8)
+        reference = optimize_full(spec, **knobs)
+        path = tmp_path / "search.jsonl"
+        with SearchCheckpoint(path) as ck:
+            first = optimize_full(spec, driver=self._driver(ck), **knobs)
+        with SearchCheckpoint(path) as ck:
+            driver = self._driver(ck)
+            second = optimize_full(spec, driver=driver, **knobs)
+        assert driver.evaluator.stats.evaluated == 0
+        for kind, ref in reference.items():
+            _assert_same_best(first[kind], ref)
+            _assert_same_best(second[kind], ref)
+
     def test_nondeterministic_stream_raises(
         self, tmp_path, small_jacobi2d
     ):
@@ -456,41 +468,6 @@ class TestCheckpointResume:
         )
 
 
-class TestSharding:
-    @pytest.mark.parametrize("shards", [2, 3])
-    def test_merged_shards_match_exhaustive(
-        self, small_jacobi2d, shards
-    ):
-        designs = _mixed_candidates(
-            small_jacobi2d, _space(small_jacobi2d)
-        )
-        budget = _budget()
-        reference = CandidateEvaluator().explore(
-            designs, budget
-        )
-        partials = []
-        streamed = 0
-        for index in range(shards):
-            driver = SearchDriver(
-                evaluator=CandidateEvaluator(),
-                chunk_size=8,
-                screen="pareto",
-                shard=(index, shards),
-            )
-            partials.append(driver.run(iter(designs), budget))
-            streamed += driver.report.candidates
-        assert streamed == len(designs)  # disjoint cover
-        merged = merge_results(partials)
-        _assert_same_best(merged, reference)
-        assert _signature_view(merged.frontier) == _signature_view(
-            pareto_front(list(reference.candidates))
-        )
-
-    def test_merge_empty_raises(self):
-        with pytest.raises(DesignSpaceError, match="No shard"):
-            merge_results([])
-
-
 class TestOptimizerIntegration:
     @pytest.fixture()
     def spec(self):
@@ -534,24 +511,6 @@ class TestOptimizerIntegration:
         }
         for kind, ref in reference.items():
             _assert_same_best(tiered[kind], ref)
-
-    def test_pareto_explore_with_pareto_screen(self, spec):
-        space = _space(spec, max_fused_depth=8)
-        designs = _mixed_candidates(spec, space)
-        budget = _budget()
-        reference = pareto_explore(designs, budget)
-        driver = SearchDriver(
-            evaluator=CandidateEvaluator(),
-            chunk_size=16,
-            screen="pareto",
-        )
-        tiered = pareto_explore(iter(designs), budget, driver=driver)
-        assert _signature_view(tiered) == _signature_view(reference)
-
-    def test_pareto_explore_rejects_latency_screen(self, spec):
-        driver = SearchDriver(chunk_size=16, screen="latency")
-        with pytest.raises(DesignSpaceError, match="latency screen"):
-            pareto_explore([], _budget(), driver=driver)
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 
 from repro.api import ProgramSynthesisResult, synthesize
 from repro.dse.search import SearchDriver
-from repro.errors import SpecificationError
+from repro.errors import DesignSpaceError, SpecificationError
 from repro.dse.evaluator import CandidateEvaluator
 from repro.program import (
     ProgramEvaluator,
@@ -54,17 +54,24 @@ def test_exactly_one_workload_required():
 
 def test_driver_with_stage_engine_is_wrapped():
     stage_engine = CandidateEvaluator()
-    driver = SearchDriver(evaluator=stage_engine, chunk_size=32)
+    driver = SearchDriver(
+        evaluator=ProgramEvaluator(stage_engine=stage_engine),
+        chunk_size=32,
+    )
     result = synthesize(program=_program(), driver=driver)
-    assert isinstance(result.evaluator, ProgramEvaluator)
+    assert result.evaluator is driver.evaluator
     assert result.evaluator.stage_engine is stage_engine
-    baseline = synthesize(program=_program())
+    exhaustive = synthesize(program=_program())
     assert (
-        result.design.signature() == baseline.design.signature()
+        result.design.signature() == exhaustive.design.signature()
     )
-    assert result.predicted_cycles == pytest.approx(
-        baseline.predicted_cycles
-    )
+    assert result.predicted_cycles == exhaustive.predicted_cycles
+
+
+def test_driver_on_a_stencil_engine_raises():
+    driver = SearchDriver(evaluator=CandidateEvaluator(), chunk_size=32)
+    with pytest.raises(DesignSpaceError, match="ProgramEvaluator"):
+        synthesize(program=_program(), driver=driver)
 
 
 def test_timeshared_schedule_threads_through():

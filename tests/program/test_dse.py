@@ -103,23 +103,6 @@ class TestDeterminism:
             == first.best.design.signature()
         )
 
-    def test_sharded_union_covers_global_best(self):
-        global_best = optimize_program(_program())
-        shard_bests = []
-        for index in range(2):
-            driver = SearchDriver(
-                evaluator=ProgramEvaluator(),
-                chunk_size=16,
-                shard=(index, 2),
-            )
-            shard_bests.append(
-                optimize_program(_program(), driver=driver).best
-            )
-        winner = min(shard_bests, key=lambda b: b.predicted_cycles)
-        assert winner.predicted_cycles == pytest.approx(
-            global_best.best.predicted_cycles
-        )
-
 
 class TestIndependentBaseline:
     def test_co_optimization_no_worse(self):

@@ -70,9 +70,7 @@ class TestTracePropagation:
         obs.enable()
         store = DesignStore(tmp_path / "results")
         try:
-            service, client = served(
-                store=store, workers=1, tiered=True, search_chunk_size=8
-            )
+            service, client = served(store=store, workers=1)
             ctx = TraceContext.mint(suite="acceptance")
             job = client.submit(trace=ctx, **REQUEST)
             client.wait(job["id"], timeout_s=120.0)
@@ -84,8 +82,7 @@ class TestTracePropagation:
             ]
             assert slices, "merged trace has no spans"
             names = {e["name"] for e in slices}
-            assert "search.tier0" in names
-            assert "search.tier1" in names
+            assert "dse.explore" in names
             assert "store.lookup" in names
             # Every span in the merged trace carries the *client's*
             # trace id even though it ran on a service worker thread.

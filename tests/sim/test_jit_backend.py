@@ -3,7 +3,7 @@
 Parity itself is covered in test_jit_parity.py; this module tests the
 machinery around the compiled kernels — backend resolution order, the
 disk cache and in-process memo, the no-compiler fallback (simulated by
-pointing ``CC`` at ``/bin/false``), the executor/checkpoint/api
+pointing ``CC`` at ``/bin/false``), the executor/checkpoint/service
 surfaces, and the warm-cache contract on a scaled-down Figure 7 sweep.
 """
 
@@ -292,25 +292,11 @@ class TestExecutorWiring:
         for field in small_jacobi2d.pattern.fields:
             assert np.array_equal(ref[field], out[field])
 
-    def test_api_synthesize_reports_backend(self):
-        from repro.api import synthesize
-
-        result = synthesize(
-            benchmark="jacobi-2d",
-            grid_shape=(16, 16),
-            iterations=4,
-            design="baseline",
-            emit=False,
-            sim_backend="numpy",
-        )
-        assert result.sim_backend == "numpy"
-
     def test_service_health_reports_backend(self):
         from repro.service import SynthesisService
 
-        service = SynthesisService(
-            board=ADM_PCIE_7V3, workers=1, sim_backend="jit"
-        )
+        jit.set_default_backend("jit")
+        service = SynthesisService(board=ADM_PCIE_7V3, workers=1)
         try:
             report = service.health()["sim_backend"]
             assert report["requested"] == "jit"

@@ -1,4 +1,4 @@
-"""Documentation regression: every tutorial code block must run."""
+"""Documentation regression: code blocks run, symbol references resolve."""
 
 import contextlib
 import io
@@ -7,8 +7,11 @@ import re
 
 import pytest
 
-DOCS = pathlib.Path(__file__).parent.parent / "docs"
-README = pathlib.Path(__file__).parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).parent.parent
+DOCS = ROOT / "docs"
+README = ROOT / "README.md"
+#: Every document whose backticked ``repro.*`` paths must resolve.
+REFERENCE_DOCS = sorted(DOCS.glob("*.md")) + [README, ROOT / "DESIGN.md"]
 
 
 class TestTutorial:
@@ -22,31 +25,32 @@ class TestTutorial:
             for block in blocks:
                 exec(block, namespace)  # noqa: S102 - doc check
 
-    def test_model_doc_references_real_symbols(self):
-        """Every backticked dotted path in docs/MODEL.md must import."""
-        import importlib
 
-        text = (DOCS / "MODEL.md").read_text()
-        for match in re.findall(r"`(repro\.[a-z_.]+)`", text):
-            parts = match.split(".")
-            for split in range(len(parts), 1, -1):
-                try:
-                    module = importlib.import_module(
-                        ".".join(parts[:split])
-                    )
-                except ImportError:
-                    continue
-                obj = module
-                ok = True
-                for attr in parts[split:]:
-                    if not hasattr(obj, attr):
-                        ok = False
-                        break
-                    obj = getattr(obj, attr)
-                if ok:
+@pytest.mark.parametrize("path", REFERENCE_DOCS, ids=lambda p: p.name)
+def test_doc_references_real_symbols(path):
+    """Every backticked dotted ``repro.*`` path in a doc must resolve."""
+    import importlib
+
+    text = path.read_text()
+    for match in re.findall(r"`(repro\.[a-z_.]+)`", text):
+        parts = match.split(".")
+        # split == 1 tries the name as an attribute of ``repro`` itself.
+        for split in range(len(parts), 0, -1):
+            try:
+                module = importlib.import_module(".".join(parts[:split]))
+            except ImportError:
+                continue
+            obj = module
+            ok = True
+            for attr in parts[split:]:
+                if not hasattr(obj, attr):
+                    ok = False
                     break
-            else:
-                pytest.fail(f"Dangling doc reference: {match}")
+                obj = getattr(obj, attr)
+            if ok:
+                break
+        else:
+            pytest.fail(f"Dangling reference in {path.name}: {match}")
 
 
 class TestReadme:
