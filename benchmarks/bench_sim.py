@@ -35,7 +35,7 @@ import pytest
 
 from repro.experiments.configs import TABLE3_CONFIGS
 from repro.sim import jit
-from repro.sim.functional import run_functional
+from repro.sim.functional import FunctionalExecutor
 from repro.stencil import jacobi_2d
 from repro.tiling import make_heterogeneous_design
 
@@ -63,7 +63,7 @@ def compare_backends(name, spec, design):
     compile_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    interpreted = run_functional(design, backend="numpy")
+    interpreted = FunctionalExecutor(design).interpret()
     numpy_s = time.perf_counter() - started
 
     started = time.perf_counter()

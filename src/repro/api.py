@@ -206,6 +206,10 @@ def _synthesize_program(
             evaluator=engine,
             driver=driver,
         )
+        if engine.stage_engine is evaluator:
+            # The caller's engine (a service's, say) counts this
+            # search's work too; the program.* metrics are published.
+            evaluator.absorb_stats(dse.stats, publish=False)
         best = dse.best
         pipeline = generate_program_pipeline(best.design) if emit else None
         _log.debug(

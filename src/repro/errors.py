@@ -101,12 +101,12 @@ class PipeError(SimulationError):
 
 
 class BackendUnavailable(SimulationError):
-    """A requested simulator backend cannot run in this environment.
+    """The JIT simulator backend cannot run this design here.
 
     Raised (and always caught — callers fall back to the numpy
-    interpreter) when the JIT backend finds no working C compiler, an
-    unsupported dtype, or a failed compilation.  Never fatal on the
-    ``backend="auto"`` path.
+    interpreter) when the JIT backend finds no working C compiler, no
+    importable ``cffi``, an unsupported design or dtype, or a failed
+    compilation.  Never fatal on the execution path.
     """
 
 

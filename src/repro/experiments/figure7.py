@@ -100,38 +100,35 @@ def _depth_sweep(baseline_depth: int, total_iterations: int) -> List[int]:
     return [h for h in candidates if h <= total_iterations]
 
 
-def _check_execution(
-    executor: CheckpointedExecutor,
-    config,
-    region: Tuple[int, ...],
-    h: int,
-) -> None:
+def _check_execution(config, region: Tuple[int, ...], h: int) -> None:
     """Bitwise-verify value execution of one swept design point.
 
     The paper-scale grids are too large to execute in full, so the
     check runs a *scaled replica*: the same stencil, tile partition,
     cone depth, and unroll, but on a one-region grid for ``h``
-    iterations.  The executor's backend (jit or numpy) must match the
-    naive reference executor bit for bit — the same contract the
-    parity test suite enforces, re-checked here on the exact design
-    family the sweep measures.
+    iterations.  The result — on whichever engine ran it, JIT or
+    interpreter — must match the naive reference executor bit for
+    bit: the same contract the parity test suite enforces, re-checked
+    here on the exact design family the sweep measures.
     """
     import numpy as np
 
     from repro.errors import SimulationError
+    from repro.sim.functional import FunctionalExecutor
     from repro.stencil.reference import run_reference
 
     spec = config.spec().with_grid(region).with_iterations(h)
     replica = make_heterogeneous_design(
         spec, region, config.counts, h, config.unroll
     )
-    produced = executor.execute(replica)
+    executor = FunctionalExecutor(replica)
+    produced = executor.run()
     expected = run_reference(spec)
     for fname, grid in expected.items():
         if not np.array_equal(grid, produced[fname]):
             raise SimulationError(
                 f"Execution check failed for {config.name} at h={h} on "
-                f"the {executor.resolved_backend()} backend: field "
+                f"the {executor.active_backend} backend: field "
                 f"{fname!r} diverged from the reference"
             )
 
@@ -143,7 +140,6 @@ def run_figure7(
     evaluator: Optional[CandidateEvaluator] = None,
     executor: Optional[CheckpointedExecutor] = None,
     check_execution: bool = False,
-    sim_backend: Optional[str] = None,
 ) -> List[Figure7Series]:
     """Regenerate the model-validation sweeps.
 
@@ -154,17 +150,13 @@ def run_figure7(
     With ``check_execution=True``, every swept design point is also
     *executed* on real data (a one-region scaled replica — the full
     paper-scale grids do not fit in memory) and verified bitwise
-    against the naive reference, on the backend selected by
-    ``sim_backend`` (default: process default / ``REPRO_SIM_BACKEND``
-    / ``auto``).  Raises :class:`~repro.errors.SimulationError` on
-    any divergence.
+    against the naive reference.  Raises
+    :class:`~repro.errors.SimulationError` on any divergence.
     """
     evaluator = evaluator or CandidateEvaluator(
         board=board, fidelity=fidelity
     )
-    executor = executor or CheckpointedExecutor(
-        board, sim_backend=sim_backend
-    )
+    executor = executor or CheckpointedExecutor(board)
     series: List[Figure7Series] = []
     for name in benchmarks:
         config = TABLE3_CONFIGS[name]
@@ -181,7 +173,7 @@ def run_figure7(
             predicted.append(evaluator.predict_cycles(design))
             measured.append(executor.total_cycles(design))
             if check_execution:
-                _check_execution(executor, config, region, h)
+                _check_execution(config, region, h)
         series.append(
             Figure7Series(
                 benchmark=name,

@@ -27,11 +27,10 @@ Service (synthesis-as-a-service, see ``docs/SERVICE.md``)::
                                        --benchmark jacobi-2d
                                        [--design hetero] [--output DIR]
 
-Every command accepts ``--sim-backend {auto,numpy,jit}`` to pick the
-value-execution simulator backend (``auto`` uses the compiled JIT
-backend when a C compiler is present; see ``docs/SIM.md``), and
 ``figure7`` accepts ``--execute-check`` to bitwise-verify the swept
-designs' execution against the naive reference.
+designs' execution against the naive reference (on the compiled JIT
+when a C compiler and ``cffi`` are present, else on the numpy
+interpreter; see ``docs/SIM.md``).
 
 Every experiment/tool accepts ``--store DIR`` to persist design
 evaluations and sweep measurements: a rerun (or a run resumed after a
@@ -108,11 +107,10 @@ class _StoreSession:
     SWEEPS_FILE = "sweeps.jsonl"
     SEARCHES_FILE = "searches.jsonl"
 
-    def __init__(self, path: Optional[str], sim_backend: Optional[str] = None):
+    def __init__(self, path: Optional[str]):
         self.store = None
         self.checkpoint = None
         self.search_checkpoint = None
-        self.sim_backend = sim_backend
         if path:
             from repro.store import (
                 DesignStore,
@@ -148,10 +146,7 @@ class _StoreSession:
         from repro.opencl.platform import ADM_PCIE_7V3
         from repro.store.checkpoint import CheckpointedExecutor
 
-        return CheckpointedExecutor(
-            board or ADM_PCIE_7V3, self.checkpoint,
-            sim_backend=self.sim_backend,
-        )
+        return CheckpointedExecutor(board or ADM_PCIE_7V3, self.checkpoint)
 
     def summary_lines(self) -> List[str]:
         if self.store is None:
@@ -699,18 +694,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="'obs top': stop after N refreshes (default: run forever)",
     )
     parser.add_argument(
-        "--sim-backend",
-        choices=("auto", "numpy", "jit"),
-        default=None,
-        help=(
-            "value-execution simulator backend: 'jit' compiles designs "
-            "to native code (bitwise-identical to numpy; see "
-            "docs/SIM.md), 'numpy' forces the interpreter, 'auto' "
-            "picks jit when a C compiler is present (default: the "
-            "REPRO_SIM_BACKEND environment variable, then 'auto')"
-        ),
-    )
-    parser.add_argument(
         "--execute-check",
         action="store_true",
         help=(
@@ -752,21 +735,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.experiment == "obs":
         return _cmd_obs(args, parser)
 
-    from repro.sim import jit as sim_jit
-
-    if args.sim_backend is not None:
-        sim_jit.set_default_backend(args.sim_backend)
-    session = _StoreSession(args.store, sim_backend=args.sim_backend)
+    session = _StoreSession(args.store)
     try:
         with obs.span(f"cli.{args.experiment}", benchmark=args.benchmark):
             outputs = _dispatch(args, session)
         outputs.extend(session.summary_lines())
-        report = sim_jit.backend_report(args.sim_backend)
-        outputs.append(
-            f"Sim backend: {report['resolved']} "
-            f"(requested {report['requested']}, compiler "
-            f"{report['compiler'] or 'none'})"
-        )
     finally:
         session.close()
     if observing:
@@ -814,7 +787,6 @@ def _dispatch(args, session: _StoreSession) -> List[str]:
                     evaluator=session.evaluator(),
                     executor=session.executor(),
                     check_execution=args.execute_check,
-                    sim_backend=session.sim_backend,
                 )
             )
         )

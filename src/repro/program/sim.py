@@ -102,22 +102,17 @@ class ProgramFunctionalExecutor:
 
     Args:
         design: the program design to execute.
-        backend: per-stage simulator backend (``"auto"``, ``"numpy"``,
-            or ``"jit"``); same semantics as
-            :class:`~repro.sim.functional.FunctionalExecutor`.
 
     Inherits the per-stage constraints of the functional simulator:
     CLAMP boundaries are rejected and every stage's grid must divide by
     its region shape (:class:`~repro.errors.SpecificationError`).
     """
 
-    def __init__(
-        self, design: ProgramDesign, backend: Optional[str] = None
-    ):
+    def __init__(self, design: ProgramDesign):
         self.design = design
         self.program = design.program
         self._executors = {
-            name: FunctionalExecutor(stage_design, backend=backend)
+            name: FunctionalExecutor(stage_design)
             for name, stage_design in design.stage_designs
         }
         #: Backend that ran each stage in the most recent :meth:`run`.
@@ -149,8 +144,7 @@ class ProgramFunctionalExecutor:
 
 def run_program_functional(
     design: ProgramDesign,
-    backend: Optional[str] = None,
     external: Optional[ExternalInputs] = None,
 ) -> ProgramState:
     """Convenience wrapper around :class:`ProgramFunctionalExecutor`."""
-    return ProgramFunctionalExecutor(design, backend=backend).run(external)
+    return ProgramFunctionalExecutor(design).run(external)

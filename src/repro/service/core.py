@@ -310,8 +310,6 @@ class SynthesisService:
         self._max_history = max_history
         self._next_id = 0
         self._running = 0
-        self._sim_report: Optional[Dict[str, Any]] = None
-        self._sim_report_lock = threading.Lock()
         self._avg_job_s = 1.0
         self._accepting = True
         self._stopped = threading.Event()
@@ -459,24 +457,6 @@ class SynthesisService:
             obs.inc("service.cancel_requests")
         return job
 
-    def _sim_backend_report(self) -> Dict[str, Any]:
-        """The process-default simulator backend for ``/healthz``, cached.
-
-        Resolving the backend imports :mod:`repro.sim.jit` and may
-        probe a C compiler via subprocess, so this must never run
-        under ``self._lock`` — a slow probe would stall every
-        ``submit``/``_finalize`` behind a health check.  The CLI sets
-        the process default (``--sim-backend``) before a service
-        starts, so the first answer is cached; the dedicated lock only
-        stops concurrent health checks from probing the compiler twice.
-        """
-        with self._sim_report_lock:
-            if self._sim_report is None:
-                from repro.sim import jit as sim_jit
-
-                self._sim_report = sim_jit.backend_report()
-            return self._sim_report
-
     def evaluator_stats(self) -> Dict[str, Any]:
         """Engine counters for health/metrics.
 
@@ -488,10 +468,8 @@ class SynthesisService:
 
     def health(self) -> Dict[str, Any]:
         """Liveness/readiness view (the ``GET /healthz`` body)."""
-        # Both computed outside self._lock: the backend report may
-        # shell out to a compiler probe (first call only) and the
-        # evaluator counters take the engine's own locks.
-        sim_report = self._sim_backend_report()
+        # Outside self._lock: the evaluator counters take the engine's
+        # own locks.
         evaluator = self.evaluator_stats()
         with self._lock:
             status = "ok" if self._accepting else (
@@ -507,7 +485,6 @@ class SynthesisService:
                 "queue_capacity": self._queue.max_depth,
                 "running": self._running,
                 "avg_job_s": self._avg_job_s,
-                "sim_backend": sim_report,
                 "store_attached": self.store is not None,
                 "telemetry_attached": self.telemetry is not None,
                 "evaluator": evaluator,
@@ -744,17 +721,7 @@ class SynthesisService:
             if job._run_started_m is not None
             else 0.0
         )
-        cpu_s = (
-            thread_cpu_s() - job._cpu_start_s
-            if job._cpu_start_s is not None
-            else 0.0
-        )
-        rss_now = peak_rss_kb()
-        rss_delta = (
-            rss_now - job._rss_start_kb
-            if rss_now is not None and job._rss_start_kb is not None
-            else None
-        )
+        cpu_s, rss_delta = self._job_usage(job)
         evals = self.evaluator_stats()
         before = job._evals_start or {}
         def delta(key: str) -> int:
@@ -775,6 +742,25 @@ class SynthesisService:
             coalesced=job.coalesced,
             attempts=job.attempts,
         ).as_dict()
+
+    def _job_usage(self, job: Job) -> Tuple[float, Optional[int]]:
+        """``(cpu_s, peak_rss_delta_kb)`` the job body has cost so far.
+
+        Measured on the worker thread that runs the body, against the
+        baselines :meth:`_run_job` stamped on the job.
+        """
+        cpu_s = (
+            thread_cpu_s() - job._cpu_start_s
+            if job._cpu_start_s is not None
+            else 0.0
+        )
+        rss_now = peak_rss_kb()
+        rss_delta = (
+            rss_now - job._rss_start_kb
+            if rss_now is not None and job._rss_start_kb is not None
+            else None
+        )
+        return cpu_s, rss_delta
 
     # -- lifecycle --------------------------------------------------------------
 

@@ -24,6 +24,8 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import JobCancelledError, ServiceError
 from repro.obs.trace import TraceContext
+from repro.program.library import PROGRAM_BENCHMARKS
+from repro.stencil.library import BENCHMARKS
 from repro.store.backing import digest
 
 #: Request fields that shape the synthesized output (signature inputs).
@@ -62,15 +64,62 @@ class JobState(str, Enum):
         return self in (JobState.DONE, JobState.FAILED, JobState.CANCELLED)
 
 
+def _positive_int(name: str, value) -> int:
+    # bool is an int subclass: JSON ``true`` must not pass as 1.
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ServiceError(
+            f"{name} must be a positive integer, got {value!r}"
+        )
+    return value
+
+
+def _optional_int(name: str, value) -> Optional[int]:
+    return None if value is None else _positive_int(name, value)
+
+
 def _int_tuple(name: str, value) -> Optional[Tuple[int, ...]]:
     if value is None:
         return None
     if not isinstance(value, (list, tuple)) or not value:
         raise ServiceError(f"{name} must be a non-empty list of ints")
-    try:
-        return tuple(int(v) for v in value)
-    except (TypeError, ValueError):
-        raise ServiceError(f"{name} must contain only integers") from None
+    return tuple(_positive_int(name, v) for v in value)
+
+
+def _string(name: str, value) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ServiceError(f"{name} must be a string")
+    return value
+
+
+def _known(name: str, value, table) -> Optional[str]:
+    if value is not None and (
+        not isinstance(value, str) or value not in table
+    ):
+        raise ServiceError(
+            f"unknown {name} {value!r} (expected one of: "
+            f"{', '.join(sorted(table))})"
+        )
+    return value
+
+
+def _strings(name: str, value) -> Tuple[str, ...]:
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(v, str) for v in value
+    ):
+        raise ServiceError(f"{name} must be a list of strings")
+    return tuple(value)
+
+
+def _string_map(name: str, value) -> Optional[Dict[str, str]]:
+    if value is not None and not (
+        isinstance(value, dict)
+        and all(
+            isinstance(k, str) and isinstance(v, str)
+            for k, v in value.items()
+        )
+    ):
+        raise ServiceError(f"{name} must map strings to strings")
+    return value
 
 
 @dataclass(frozen=True)
@@ -132,7 +181,14 @@ class JobRequest:
         """Build a request from a decoded JSON object, strictly.
 
         Unknown keys are rejected — a typo'd field silently changing
-        the dedup signature would be far worse than a 400.
+        the dedup signature would be far worse than a 400.  So is every
+        value a worker would only fail on later, after the job took a
+        queue slot: integers that are not positive (or are bools),
+        benchmark and program names outside the libraries, a
+        non-string ``source``/``name``, an ``aux`` that is not a list
+        of strings, a ``field_map`` that does not map strings to
+        strings, and a ``source`` job without ``grid_shape`` and
+        ``iterations``.
         """
         if not isinstance(payload, dict):
             raise ServiceError("job payload must be a JSON object")
@@ -143,25 +199,40 @@ class JobRequest:
             raise ServiceError(
                 f"unknown job field(s): {', '.join(sorted(unknown))}"
             )
+        source = _string("source", payload.get("source"))
+        grid_shape = _int_tuple("grid_shape", payload.get("grid_shape"))
+        iterations = _optional_int(
+            "iterations", payload.get("iterations")
+        )
+        if source is not None and (grid_shape is None or iterations is None):
+            raise ServiceError(
+                "a 'source' job needs 'grid_shape' and 'iterations'"
+            )
         try:
             return cls(
-                benchmark=payload.get("benchmark"),
-                source=payload.get("source"),
-                program=payload.get("program"),
-                schedule=payload.get("schedule", "coresident"),
-                name=payload.get("name", "user-stencil"),
-                field_map=payload.get("field_map"),
-                aux=tuple(payload.get("aux", ())),
-                grid_shape=_int_tuple(
-                    "grid_shape", payload.get("grid_shape")
+                benchmark=_known(
+                    "benchmark", payload.get("benchmark"), BENCHMARKS
                 ),
-                iterations=payload.get("iterations"),
+                source=source,
+                program=_known(
+                    "program", payload.get("program"), PROGRAM_BENCHMARKS
+                ),
+                schedule=payload.get("schedule", "coresident"),
+                name=_string("name", payload.get("name", "user-stencil")),
+                field_map=_string_map(
+                    "field_map", payload.get("field_map")
+                ),
+                aux=_strings("aux", payload.get("aux", ())),
+                grid_shape=grid_shape,
+                iterations=iterations,
                 tile_shape=_int_tuple(
                     "tile_shape", payload.get("tile_shape")
                 ),
                 counts=_int_tuple("counts", payload.get("counts")),
-                fused_depth=payload.get("fused_depth"),
-                unroll=int(payload.get("unroll", 1)),
+                fused_depth=_optional_int(
+                    "fused_depth", payload.get("fused_depth")
+                ),
+                unroll=_positive_int("unroll", payload.get("unroll", 1)),
                 design=payload.get("design", "heterogeneous"),
                 priority=int(payload.get("priority", 0)),
                 timeout_s=payload.get("timeout_s"),
@@ -255,6 +326,10 @@ class Job:
     _evals_start: Optional[Dict[str, Any]] = field(
         default=None, repr=False
     )
+    # What replica processes measured around the job body, summed
+    # over attempts (the sharded service's flight-record source).
+    _replica_cpu_s: float = field(default=0.0, repr=False)
+    _replica_rss_kb: Optional[int] = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Request cancellation (takes effect at the next checkpoint)."""

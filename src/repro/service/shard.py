@@ -67,7 +67,7 @@ from repro.errors import (
 )
 from repro.model.predictor import Fidelity
 from repro.obs import core as obs_core
-from repro.obs.record import TelemetryJournal
+from repro.obs.record import TelemetryJournal, peak_rss_kb, thread_cpu_s
 from repro.obs.spans import SpanRecord
 from repro.obs.trace import TraceContext, activate as activate_trace
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
@@ -198,6 +198,8 @@ def _replica_run_one(
         time.monotonic() + timeout_s if timeout_s is not None else None
     )
     before = evaluator.stats.as_dict()
+    cpu_start_s = thread_cpu_s()
+    rss_start_kb = peak_rss_kb()
     reply: Dict[str, Any] = {
         "op": "done", "job_id": job_id, "replica": index,
     }
@@ -233,6 +235,15 @@ def _replica_run_one(
         )
     finally:
         state["deadline"] = None
+    # The job's own CPU and peak-RSS growth, for the dispatcher's
+    # flight record (its forwarding thread only waits on the pipe).
+    reply["cpu_s"] = thread_cpu_s() - cpu_start_s
+    rss_end_kb = peak_rss_kb()
+    reply["peak_rss_delta_kb"] = (
+        rss_end_kb - rss_start_kb
+        if rss_end_kb is not None and rss_start_kb is not None
+        else None
+    )
     if evaluator.store is not None:
         try:
             # Per-job durability, mirroring the dispatcher-side flush
@@ -515,6 +526,10 @@ class ShardedSynthesisService(SynthesisService):
         replica: _Replica = self._slot.replica
         reply = replica.run_job(job)
         self._absorb_reply(replica, reply)
+        job._replica_cpu_s += reply.get("cpu_s", 0.0)
+        rss_kb = reply.get("peak_rss_delta_kb")
+        if rss_kb is not None:
+            job._replica_rss_kb = (job._replica_rss_kb or 0) + rss_kb
         status = reply.get("status")
         if status == "ok":
             return reply["payload"]
@@ -600,6 +615,15 @@ class ShardedSynthesisService(SynthesisService):
             )
 
     # -- views ----------------------------------------------------------------
+
+    def _job_usage(self, job: Job) -> Tuple[float, Optional[int]]:
+        """What the replicas measured around the job body.
+
+        The forwarding thread only waits on the replica pipe, so its
+        own CPU time and this process's peak RSS say nothing about
+        the job.
+        """
+        return job._replica_cpu_s, job._replica_rss_kb
 
     def evaluator_stats(self) -> Dict[str, Any]:
         """Aggregated engine counters across every replica."""

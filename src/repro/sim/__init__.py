@@ -12,9 +12,9 @@ the source of the model's ~12 % underestimation).
 :mod:`repro.sim.functional` executes the same designs on real numpy
 data and must match the naive reference bit-for-bit; it is the
 framework's correctness oracle.  :mod:`repro.sim.jit` compiles the
-same execution to specialized C at runtime (``backend="jit"``),
-bitwise-identical by contract and an order of magnitude faster; see
-``docs/SIM.md``.
+same execution to specialized C at runtime, bitwise-identical by
+contract and an order of magnitude faster; it runs whenever a C
+compiler and ``cffi`` are present (see ``docs/SIM.md``).
 """
 
 from repro.sim.engine import RegionBlockEngine, RegionBlockResult
@@ -24,11 +24,7 @@ from repro.sim.memsys import MemorySystem
 from repro.sim.pipe_sim import halo_transfer_cycles
 from repro.sim.executor import SimulationExecutor, SimulationResult, simulate
 from repro.sim.functional import FunctionalExecutor, run_functional
-from repro.sim.jit import (
-    backend_report,
-    resolve_backend,
-    set_default_backend,
-)
+from repro.sim.jit import resolve_backend
 from repro.sim.trace import to_chrome_trace, write_chrome_trace
 
 __all__ = [
@@ -45,9 +41,7 @@ __all__ = [
     "simulate",
     "FunctionalExecutor",
     "run_functional",
-    "backend_report",
     "resolve_backend",
-    "set_default_backend",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

@@ -58,7 +58,6 @@ class RegionBlockEngine:
         board: BoardSpec,
         report: PipelineReport,
         overlap_sharing: bool = True,
-        sim_backend: str = "numpy",
     ):
         """
         Args:
@@ -68,15 +67,11 @@ class RegionBlockEngine:
             overlap_sharing: when False, disable the interior-first
                 latency hiding — every halo transfer serializes with
                 computation (the ablation of Section 3.1's mechanism).
-            sim_backend: the value-execution backend active for this
-                run, stamped into the ``sim.block`` span so recorded
-                traces distinguish interpreted from compiled runs.
         """
         self.design = design
         self.board = board
         self.report = report
         self.overlap_sharing = overlap_sharing
-        self.sim_backend = sim_backend
         self.memsys = MemorySystem(board, design.parallelism)
         self.launcher = LaunchScheduler(board)
 
@@ -86,7 +81,6 @@ class RegionBlockEngine:
             "sim.block",
             kernels=len(self.design.tiles),
             fused_depth=self.design.fused_depth,
-            backend=self.sim_backend,
         ):
             result = self._run()
         if obs.enabled():

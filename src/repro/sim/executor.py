@@ -50,10 +50,6 @@ class SimulationResult:
     #: breakdown then describes one block's anatomy, not the (shorter)
     #: pipelined total.
     prefetched: bool = False
-    #: Value-execution backend the executor resolves for this design
-    #: (``"numpy"`` or ``"jit"``); stamped into exported trace events
-    #: so interpreted and compiled phases stay distinguishable.
-    sim_backend: str = "numpy"
 
     @property
     def seconds(self) -> float:
@@ -82,49 +78,15 @@ class SimulationExecutor:
     Args:
         board: the platform to simulate.
         estimator: pipeline-report estimator (FlexCL stand-in).
-        backend: value-execution backend for :meth:`execute`
-            (``"auto" | "numpy" | "jit"``; default: the process
-            default / ``REPRO_SIM_BACKEND`` / ``"auto"``).  The
-            cycle-level :meth:`run` never touches data values, but it
-            stamps the resolved backend into its result and trace
-            events so runs stay attributable.
     """
 
     def __init__(
         self,
         board: BoardSpec = ADM_PCIE_7V3,
         estimator: Optional[FlexCLEstimator] = None,
-        backend: Optional[str] = None,
     ):
         self.board = board
         self.estimator = estimator or FlexCLEstimator()
-        self.backend = backend
-
-    def resolved_backend(self) -> str:
-        """The concrete value-execution backend this executor uses."""
-        from repro.sim import jit
-
-        return jit.resolve_backend(self.backend)
-
-    def execute(
-        self,
-        design: StencilDesign,
-        state=None,
-        aux=None,
-        iterations: Optional[int] = None,
-    ):
-        """Value-level execution of ``design`` (final field grids).
-
-        Runs on the executor's backend: the compiled jit kernel when
-        available, else the numpy interpreter — bitwise-identical
-        either way.  Complements :meth:`run`, which simulates latency
-        without computing values.
-        """
-        from repro.sim.functional import run_functional
-
-        return run_functional(
-            design, state, aux, iterations, backend=self.backend
-        )
 
     def run(
         self,
@@ -171,10 +133,8 @@ class SimulationExecutor:
         prefetch_reads: bool,
         sim_span,
     ) -> SimulationResult:
-        sim_backend = self.resolved_backend()
         engine = RegionBlockEngine(
-            design, self.board, report, overlap_sharing,
-            sim_backend=sim_backend,
+            design, self.board, report, overlap_sharing
         )
         block = engine.run()
         num_blocks = design.num_blocks()
@@ -206,7 +166,6 @@ class SimulationExecutor:
             block=block,
             num_blocks=num_blocks,
             prefetched=prefetch_reads,
-            sim_backend=sim_backend,
         )
         if obs.enabled():
             sim_span.set(blocks=num_blocks, total_cycles=total)

@@ -77,23 +77,19 @@ class _TileContext:
 class FunctionalExecutor:
     """Executes a design on numpy grids, matching the reference exactly.
 
+    :meth:`run` executes the compiled C kernel from :mod:`repro.sim.jit`
+    (bitwise-identical by contract) when
+    :func:`~repro.sim.jit.resolve_backend` answers ``"jit"`` and the
+    JIT supports this design and these inputs, and :meth:`interpret`
+    — the numpy oracle the JIT is tested against — otherwise.  Only
+    :meth:`interpret` populates :attr:`pipes`; the JIT moves halos
+    through C buffers.
+
     Args:
         design: the design to execute.
-        backend: ``"auto"``, ``"numpy"``, or ``"jit"`` (default: the
-            process default / ``REPRO_SIM_BACKEND`` / ``"auto"``).
-            The jit backend runs the compiled C kernel from
-            :mod:`repro.sim.jit` — bitwise-identical by contract —
-            and silently falls back to the numpy interpreter when it
-            cannot (no compiler, unsupported dtype or inputs).  The
-            backend that actually ran the last :meth:`run` is
-            exposed as :attr:`active_backend`; note the jit path does
-            not populate :attr:`pipes` (halos move through C buffers,
-            not :class:`~repro.opencl.pipes.Pipe` objects).
     """
 
-    def __init__(
-        self, design: StencilDesign, backend: Optional[str] = None
-    ):
+    def __init__(self, design: StencilDesign):
         if design.spec.boundary is BoundaryPolicy.CLAMP:
             raise SpecificationError(
                 "Functional design execution supports FROZEN and PERIODIC "
@@ -114,10 +110,9 @@ class FunctionalExecutor:
         self.periodic = design.spec.boundary is BoundaryPolicy.PERIODIC
         self.domain = box_from_shape(self.spec.grid_shape)
         self.interior = shrink_box(self.domain, self.pattern.radius)
-        self.backend = backend
-        #: Backend that executed the most recent :meth:`run`.
+        #: Backend that executed the most recent run.
         self.active_backend = "numpy"
-        #: Pipes created during the run, keyed by name (inspectable).
+        #: Pipes created during interpreted runs, keyed by name.
         self.pipes: Dict[str, Pipe] = {}
 
     # -- public API -----------------------------------------------------------
@@ -130,15 +125,37 @@ class FunctionalExecutor:
     ) -> State:
         """Execute the design and return the final field grids.
 
+        Every :class:`~repro.errors.BackendUnavailable` from the JIT is
+        swallowed here (counted in ``sim.jit.fallbacks``): the JIT is
+        an accelerator, never a correctness or availability risk.
+
         Args:
             state: initial fields (default: the spec's).
             aux: auxiliary inputs (default: the spec's).
             iterations: total iterations (default: the spec's ``H``).
         """
+        from repro.sim import jit
+
         total = self.spec.iterations if iterations is None else iterations
-        compiled = self._run_compiled(state, aux, total)
-        if compiled is not None:
-            return compiled
+        if jit.resolve_backend() == "jit":
+            try:
+                result = jit.run_jit(self.design, state, aux, total)
+            except BackendUnavailable as exc:
+                obs.inc("sim.jit.fallbacks")
+                _log.debug("jit fallback for %s: %s", self.spec.name, exc)
+            else:
+                self.active_backend = "jit"
+                return result
+        return self.interpret(state, aux, total)
+
+    def interpret(
+        self,
+        state: Optional[State] = None,
+        aux: Optional[State] = None,
+        iterations: Optional[int] = None,
+    ) -> State:
+        """:meth:`run` on the numpy interpreter, whatever the backend."""
+        total = self.spec.iterations if iterations is None else iterations
         current = {
             k: v.astype(self.spec.dtype, copy=True)
             for k, v in (state or self.spec.initial_state()).items()
@@ -149,31 +166,9 @@ class FunctionalExecutor:
             h_block = min(self.design.fused_depth, total - done)
             current = self._run_temporal_block(current, aux_arrays, h_block)
             done += h_block
+        self.active_backend = "numpy"
         obs.inc("sim.numpy.runs")
         return current
-
-    def _run_compiled(
-        self, state: Optional[State], aux: Optional[State], total: int
-    ) -> Optional[State]:
-        """Try the jit backend; ``None`` means run the interpreter.
-
-        Every :class:`~repro.errors.BackendUnavailable` is swallowed
-        here (counted in ``sim.jit.fallbacks``): the jit path is an
-        accelerator, never a correctness or availability risk.
-        """
-        from repro.sim import jit
-
-        self.active_backend = "numpy"
-        if jit.resolve_backend(self.backend) != "jit":
-            return None
-        try:
-            result = jit.run_jit(self.design, state, aux, total)
-        except BackendUnavailable as exc:
-            obs.inc("sim.jit.fallbacks")
-            _log.debug("jit fallback for %s: %s", self.spec.name, exc)
-            return None
-        self.active_backend = "jit"
-        return result
 
     # -- block execution ----------------------------------------------------------
 
@@ -456,9 +451,6 @@ def run_functional(
     state: Optional[State] = None,
     aux: Optional[State] = None,
     iterations: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> State:
-    """Convenience wrapper around :class:`FunctionalExecutor`."""
-    return FunctionalExecutor(design, backend=backend).run(
-        state, aux, iterations
-    )
+    """Convenience wrapper around :meth:`FunctionalExecutor.run`."""
+    return FunctionalExecutor(design).run(state, aux, iterations)

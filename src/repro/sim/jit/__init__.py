@@ -8,21 +8,18 @@ and ``docs/SIM.md``).  Kernels are cached on disk keyed by design,
 spec, dtype, codegen version, and compiler fingerprint.
 
 The subsystem is optional at runtime: when no C compiler is present
-every entry point raises :class:`~repro.errors.BackendUnavailable`,
-which the executors catch to fall back to the numpy interpreter.
+or ``cffi`` does not import, :func:`resolve_backend` answers
+``"numpy"`` and every entry point raises
+:class:`~repro.errors.BackendUnavailable`, which the executors catch
+to fall back to the numpy interpreter.
 """
 
 from repro.sim.jit.backend import (
-    BACKEND_ENV,
-    BACKENDS,
     CompiledKernel,
-    backend_report,
     clear_memo,
     get_kernel,
-    requested_backend,
     resolve_backend,
     run_jit,
-    set_default_backend,
 )
 from repro.sim.jit.cache import CACHE_ENV, KernelCache, kernel_key
 from repro.sim.jit.codegen import (
@@ -40,8 +37,6 @@ from repro.sim.jit.compile import (
 )
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
     "CACHE_ENV",
     "CODEGEN_VERSION",
     "COMPILE_FLAGS",
@@ -49,7 +44,6 @@ __all__ = [
     "CompilerInfo",
     "KERNEL_ENTRY",
     "KernelCache",
-    "backend_report",
     "clear_memo",
     "clear_probe_cache",
     "compile_shared_object",
@@ -57,9 +51,7 @@ __all__ = [
     "generate_kernel_source",
     "get_kernel",
     "kernel_key",
-    "requested_backend",
     "resolve_backend",
     "run_jit",
-    "set_default_backend",
     "unsupported_reason",
 ]

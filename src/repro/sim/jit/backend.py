@@ -1,16 +1,14 @@
-"""Backend selection and execution glue for the JIT simulator.
+"""Backend resolution and execution glue for the JIT simulator.
 
 Three jobs live here:
 
-- **Resolution** — :func:`resolve_backend` turns a requested backend
-  (``"auto" | "numpy" | "jit"``, an explicit argument, the process
-  default set by :func:`set_default_backend` / the ``--sim-backend``
-  CLI flag, or the ``REPRO_SIM_BACKEND`` environment variable) into
-  the concrete backend that will run.  ``auto`` means *jit when a C
-  compiler is present, numpy otherwise*; a jit request that cannot be
-  honored (no compiler, unsupported design, failed compile) falls
-  back to numpy silently — recorded in the ``sim.jit.fallbacks``
-  counter and the debug log, never raised on the execution path.
+- **Resolution** — :func:`resolve_backend` names the engine value
+  execution uses in this process: ``"jit"`` when a working C compiler
+  is found and ``cffi`` imports, ``"numpy"`` otherwise.  Nothing
+  selects it.  A design or input the JIT cannot run bitwise falls
+  back to the interpreter per run — recorded in the
+  ``sim.jit.fallbacks`` counter and the debug log, never raised on
+  the execution path.
 - **Loading** — :func:`get_kernel` generates + compiles + ``dlopen``\\ s
   the specialized kernel for a (design, dtype) pair, with a process
   memo in front of the on-disk :class:`~repro.sim.jit.cache.KernelCache`.
@@ -22,7 +20,6 @@ Three jobs live here:
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from typing import Dict, Optional, Tuple
@@ -33,81 +30,42 @@ from repro import obs
 from repro.errors import BackendUnavailable
 from repro.sim.jit import codegen
 from repro.sim.jit.cache import KernelCache, kernel_key
-from repro.sim.jit.compile import CompilerInfo, find_compiler
+from repro.sim.jit.compile import find_compiler
 from repro.tiling.design import StencilDesign
 
 State = Dict[str, np.ndarray]
 
 _log = obs.get_logger("sim.jit")
 
-#: Recognized backend names.
-BACKENDS = ("auto", "numpy", "jit")
 
-#: Environment variable selecting the backend when no argument is given.
-BACKEND_ENV = "REPRO_SIM_BACKEND"
+def _import_cffi():
+    """The ``cffi`` module, or :class:`BackendUnavailable`.
 
-_default_lock = threading.Lock()
-_default_backend: Optional[str] = None
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Set the process-wide default backend (``None`` clears it).
-
-    The experiments CLI routes ``--sim-backend`` here so every
-    executor built later in the run inherits the choice without
-    threading a parameter through each call site.
+    ``cffi`` is not a dependency of the package: without it the JIT
+    is unavailable, never an import error on the execution path.
     """
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(
-            f"Unknown sim backend {backend!r}; expected one of {BACKENDS}"
-        )
-    global _default_backend
-    with _default_lock:
-        _default_backend = backend
+    try:
+        import cffi
+    except ImportError as exc:
+        raise BackendUnavailable(f"cffi does not import: {exc}") from exc
+    return cffi
 
 
-def requested_backend(backend: Optional[str] = None) -> str:
-    """The backend *request* before availability is considered."""
-    if backend is None:
-        with _default_lock:
-            backend = _default_backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV) or "auto"
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"Unknown sim backend {backend!r}; expected one of {BACKENDS}"
-        )
-    return backend
+def resolve_backend() -> str:
+    """The value-execution engine of this process: ``"jit"`` or ``"numpy"``.
 
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Concrete backend (``"numpy"`` or ``"jit"``) that will run.
-
-    ``auto`` resolves to ``jit`` exactly when a working C compiler is
-    found; an explicit ``jit`` request with no compiler resolves to
-    ``numpy`` (recorded as a fallback) rather than raising, per the
-    never-fatal contract.
+    ``"jit"`` exactly when a working C compiler is found and ``cffi``
+    imports — the compiled kernels need both.  Individual runs may
+    still fall back to the interpreter (see
+    :meth:`~repro.sim.functional.FunctionalExecutor.run`).
     """
-    request = requested_backend(backend)
-    if request == "numpy":
+    if find_compiler() is None:
         return "numpy"
-    if find_compiler() is not None:
-        return "jit"
-    if request == "jit":
-        obs.inc("sim.jit.fallbacks")
-        _log.debug("jit backend requested but no C compiler found")
-    return "numpy"
-
-
-def backend_report(backend: Optional[str] = None) -> Dict[str, object]:
-    """Resolution summary for run reports and ``/healthz``."""
-    request = requested_backend(backend)
-    compiler = find_compiler()
-    return {
-        "requested": request,
-        "resolved": resolve_backend(backend),
-        "compiler": compiler.version if compiler else None,
-    }
+    try:
+        _import_cffi()
+    except BackendUnavailable:
+        return "numpy"
+    return "jit"
 
 
 class CompiledKernel:
@@ -119,8 +77,7 @@ class CompiledKernel:
         dtype: np.dtype,
         so_path: str,
     ):
-        import cffi
-
+        cffi = _import_cffi()
         self.design = design
         self.dtype = np.dtype(dtype)
         self.so_path = str(so_path)

@@ -62,10 +62,7 @@ def simulation_chrome_events(
                 tid,
                 ts_offset_us + record.start * cycles_to_us,
                 record.duration * cycles_to_us,
-                args={
-                    "iteration": record.iteration,
-                    "backend": result.sim_backend,
-                },
+                args={"iteration": record.iteration},
                 cname=_PHASE_COLORS[record.phase],
             )
     return builder.events
@@ -81,7 +78,6 @@ def to_chrome_trace(result: SimulationResult) -> dict:
             "board": result.board.name,
             "block_cycles": result.block.block_cycles,
             "num_blocks": result.num_blocks,
-            "sim_backend": result.sim_backend,
         },
     }
 

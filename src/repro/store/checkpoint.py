@@ -206,23 +206,16 @@ class CheckpointedExecutor:
     :class:`~repro.sim.executor.SimulationExecutor`; with one, each
     measurement is keyed on ``(operation, board, design signature)``
     and recomputed only when absent.
-
-    ``sim_backend`` selects the value-execution backend the wrapped
-    executor uses for :meth:`execute` (``"auto" | "numpy" | "jit"``;
-    ``None`` defers to the process default / ``REPRO_SIM_BACKEND``).
-    Value execution is *not* checkpointed — its result is the grids
-    themselves, not a JSON-sized measurement.
     """
 
     def __init__(
         self,
         board: BoardSpec,
         checkpoint: Optional[SweepCheckpoint] = None,
-        sim_backend: Optional[str] = None,
     ):
         self.board = board
         self.checkpoint = checkpoint
-        self._executor = SimulationExecutor(board, backend=sim_backend)
+        self._executor = SimulationExecutor(board)
         self._board_fp = digest(
             {
                 "name": board.name,
@@ -248,20 +241,6 @@ class CheckpointedExecutor:
         if self.checkpoint is None:
             return compute()
         return self.checkpoint.run(self._key(op, design), compute)
-
-    def resolved_backend(self) -> str:
-        """Concrete value-execution backend of the wrapped executor."""
-        return self._executor.resolved_backend()
-
-    def execute(
-        self,
-        design: StencilDesign,
-        state=None,
-        aux=None,
-        iterations=None,
-    ):
-        """Value-level execution through the wrapped executor."""
-        return self._executor.execute(design, state, aux, iterations)
 
     def total_cycles(self, design: StencilDesign) -> float:
         """Measured total cycles (checkpointed when enabled)."""

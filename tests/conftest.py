@@ -7,13 +7,7 @@ import tempfile
 
 import pytest
 
-# Pin the default value-execution backend to the numpy interpreter for
-# the suite: the functional tests assert on interpreter internals (pipe
-# traffic), and the hypothesis suites would otherwise trigger one C
-# compile per generated design.  The jit suites opt in explicitly via
-# backend="jit" arguments, which take precedence over this env default.
-os.environ.setdefault("REPRO_SIM_BACKEND", "numpy")
-# Keep any kernels tests do compile out of the user's ~/.cache.
+# Keep any kernels tests compile out of the user's ~/.cache.
 os.environ.setdefault(
     "REPRO_JIT_CACHE", tempfile.mkdtemp(prefix="repro-jit-cache-")
 )

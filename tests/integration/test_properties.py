@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.sim.functional import run_functional
+from repro.sim.functional import FunctionalExecutor
 from repro.stencil.pattern import FieldUpdate, StencilPattern, Tap
 from repro.stencil.reference import run_reference
 from repro.stencil.spec import StencilSpec
@@ -118,7 +118,7 @@ class TestFunctionalEquivalence:
     def test_any_design_matches_reference_bitwise(self, case):
         spec, design = case
         ref = run_reference(spec)
-        out = run_functional(design)
+        out = FunctionalExecutor(design).interpret()
         for field in spec.pattern.fields:
             assert np.array_equal(ref[field], out[field])
 
@@ -132,7 +132,7 @@ class TestFunctionalEquivalence:
         """The bitwise invariant also holds under periodic wrapping."""
         spec, design = case
         ref = run_reference(spec)
-        out = run_functional(design)
+        out = FunctionalExecutor(design).interpret()
         for field in spec.pattern.fields:
             assert np.array_equal(ref[field], out[field])
 

@@ -1,8 +1,8 @@
 """Bitwise parity: fused program execution == stage-by-stage reference.
 
 The contract: for every program design, running the mapped program
-through the functional simulator (tiled, pipelined, per-stage backend
-choice) produces byte-identical arrays to composing the per-stage
+through the functional simulator (tiled, pipelined, JIT or interpreter
+per stage) produces byte-identical arrays to composing the per-stage
 naive reference kernels — across design kinds, boundary policies, and
 dtypes.
 """
@@ -24,7 +24,7 @@ from repro.program import (
     run_program_reference,
     stage_design_options,
 )
-from repro.sim.jit import find_compiler
+from repro.sim.jit import resolve_backend
 from repro.stencil.boundary import BoundaryPolicy
 from repro.stencil.pattern import FieldUpdate, StencilPattern, Tap
 from repro.stencil.spec import StencilSpec
@@ -75,11 +75,9 @@ def _two_stage(boundary, dtype, iterations):
     return builder.build()
 
 
-def _assert_program_parity(program, design, backend=None, external=None):
+def _assert_program_parity(program, design, external=None):
     reference = run_program_reference(program, external=external)
-    fused = run_program_functional(
-        design, backend=backend, external=external
-    )
+    fused = run_program_functional(design, external=external)
     for name in program.topo_order():
         for field, expected in reference[name].items():
             actual = fused[name][field]
@@ -154,7 +152,8 @@ class TestLibraryPrograms:
 
 
 @pytest.mark.skipif(
-    find_compiler() is None, reason="no C compiler for the JIT backend"
+    resolve_backend() != "jit",
+    reason="JIT unavailable (no working C compiler or no cffi)",
 )
 class TestJitParity:
     def test_jit_stages_match_reference(self):
@@ -166,7 +165,7 @@ class TestJitParity:
             for stage in program.stages
         }
         design = next(iter(program_candidates(program, options)))
-        executor = ProgramFunctionalExecutor(design, backend="auto")
+        executor = ProgramFunctionalExecutor(design)
         fused = executor.run()
         assert set(executor.stage_backends) == set(program.topo_order())
         reference = run_program_reference(program)

@@ -83,3 +83,22 @@ class TestService:
             assert different.id != first.id
             service.wait(first.id, timeout=120.0)
             service.wait(different.id, timeout=120.0)
+
+    def test_program_job_flight_counts_engine_work(self, tmp_path):
+        from repro.store import DesignStore
+
+        store = DesignStore(tmp_path / "store")
+        try:
+            with SynthesisService(workers=1, store=store) as service:
+                first, _ = service.submit(_request())
+                service.wait(first.id, timeout=120.0)
+                repeat, coalesced = service.submit(_request())
+                assert not coalesced
+                service.wait(repeat.id, timeout=120.0)
+                engine = service.evaluator_stats()
+        finally:
+            store.close()
+        assert first.flight["evaluations"] > 0
+        assert repeat.flight["evaluations"] == 0
+        assert repeat.flight["store_hits"] > 0
+        assert engine["evaluated"] == first.flight["evaluations"]

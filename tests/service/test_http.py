@@ -116,6 +116,46 @@ class TestRoutes:
         with pytest.raises(ServiceError, match="design"):
             client.submit(benchmark="jacobi-2d", design="quantum")
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"benchmark": "jacobi-2d", "iterations": "abc"},
+            {"benchmark": "jacobi-2d", "iterations": 2.5},
+            {"benchmark": "jacobi-2d", "iterations": True},
+            {"benchmark": "jacobi-2d", "grid_shape": [0, -4]},
+            {"benchmark": "jacobi-2d", "grid_shape": [None, 4]},
+            {"benchmark": "jacobi-2d", "unroll": 0},
+            {"benchmark": "jacobi-2d", "unroll": None},
+            {"benchmark": "jacobi-2d", "fused_depth": -3},
+            {"benchmark": "nope"},
+            {"program": "nope"},
+            {"source": "B[i] = A[i];"},
+            {"source": 5, "grid_shape": [8], "iterations": 2},
+            {"benchmark": "jacobi-2d", "name": 3},
+            {"benchmark": "jacobi-2d", "aux": "power"},
+            {"benchmark": "jacobi-2d", "field_map": [1, 2]},
+        ],
+        ids=lambda payload: json.dumps(payload, sort_keys=True),
+    )
+    def test_invalid_job_400_before_queueing(self, served, payload):
+        service, client = served(pipeline=echo_pipeline)
+        reply = client._call("POST", "/jobs", payload)
+        assert reply["_status"] == 400
+        assert service.stats.accepted == 0
+
+    def test_source_job_payload_accepted(self, served):
+        service, client = served(pipeline=echo_pipeline)
+        job = client.submit(
+            source="B[i] = 0.5f * (A[i-1] + A[i+1]);",
+            name="smooth",
+            field_map={"B": "A"},
+            aux=[],
+            grid_shape=[64],
+            iterations=2,
+        )
+        assert client.wait(job["id"], timeout_s=WAIT_S)
+        assert service.stats.accepted == 1
+
     def test_failed_job_409(self, served):
         def broken(_job, _evaluator):
             raise ServiceError("synthetic failure")

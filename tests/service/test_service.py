@@ -411,37 +411,3 @@ class TestRetryBackoffCancellation:
         assert job.state is JobState.CANCELLED
         assert job.timed_out
         assert time.monotonic() - begin < 5.0
-
-
-class TestHealthUnderLoad:
-    def test_health_does_not_stall_submissions(self, service_factory):
-        # The first health check resolves the simulator backend (it
-        # may probe a compiler).  Make that pathologically slow and
-        # prove submissions still flow: the probe runs outside the
-        # service lock.
-        service = service_factory(pipeline=echo_pipeline)
-        probing = threading.Event()
-
-        def slow_report():
-            probing.set()
-            time.sleep(2.0)
-            return {"requested": "slow", "resolved": "slow"}
-
-        service._sim_backend_report = slow_report
-        checker = threading.Thread(target=service.health, daemon=True)
-        checker.start()
-        assert probing.wait(WAIT_S)
-        begin = time.monotonic()
-        job, _ = service.submit(JobRequest(benchmark="jacobi-2d"))
-        assert job.wait(WAIT_S)
-        assert job.state is JobState.DONE
-        assert time.monotonic() - begin < 1.0
-        checker.join(WAIT_S)
-
-    def test_sim_backend_report_is_cached(self, service_factory):
-        service = service_factory(pipeline=echo_pipeline)
-        first = service.health()["sim_backend"]
-        sentinel = {"requested": "cached", "resolved": "cached"}
-        service._sim_report = sentinel
-        assert service.health()["sim_backend"] is sentinel
-        assert first is not sentinel

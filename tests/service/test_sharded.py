@@ -177,6 +177,26 @@ class TestLifecycle:
         assert service.health()["replicas"][0]["alive"]
 
 
+class TestFlightRecords:
+    def test_replica_measures_the_jobs_cpu_and_rss(self, sharded_factory):
+        service = sharded_factory(worker_processes=1)
+        job, _ = service.submit(
+            JobRequest(
+                program="blur-sobel-threshold",
+                grid_shape=(64, 64),
+                iterations=2,
+            )
+        )
+        service.wait(job.id, timeout=WAIT_S)
+        assert job.state is JobState.DONE
+        flight = job.flight
+        # The forwarding thread spends a few milliseconds of CPU on
+        # the pipe; the search ran on the replica's thread.
+        assert flight["cpu_s"] > 0.1 * flight["run_s"]
+        assert flight["peak_rss_delta_kb"] >= 0
+        assert flight["evaluations"] > 0
+
+
 class TestCancellation:
     def test_cancel_crosses_the_process_boundary(self, sharded_factory):
         service = sharded_factory(worker_processes=1)

@@ -1,10 +1,10 @@
-"""Tests for the functional executor: the bitwise-match oracle."""
+"""Tests for the functional executor's interpreter: the bitwise oracle."""
 
 import numpy as np
 import pytest
 
 from repro.errors import SpecificationError
-from repro.sim.functional import FunctionalExecutor, run_functional
+from repro.sim.functional import FunctionalExecutor
 from repro.stencil import (
     BoundaryPolicy,
     get_benchmark,
@@ -20,7 +20,7 @@ from repro.tiling import (
 
 def assert_bitwise_match(spec, design):
     ref = run_reference(spec)
-    out = run_functional(design)
+    out = FunctionalExecutor(design).interpret()
     for field in spec.pattern.fields:
         assert np.array_equal(ref[field], out[field]), field
 
@@ -87,12 +87,14 @@ class TestBitwiseEquivalence:
 class TestIterationControl:
     def test_explicit_iterations(self, small_jacobi2d, pipe_design):
         ref = run_reference(small_jacobi2d, iterations=5)
-        out = run_functional(pipe_design, iterations=5)
+        out = FunctionalExecutor(pipe_design).interpret(iterations=5)
         assert np.array_equal(ref["a"], out["a"])
 
     def test_zero_iterations_identity(self, small_jacobi2d, pipe_design):
         state = small_jacobi2d.initial_state()
-        out = run_functional(pipe_design, state=state, iterations=0)
+        out = FunctionalExecutor(pipe_design).interpret(
+            state=state, iterations=0
+        )
         assert np.array_equal(out["a"], state["a"])
 
     def test_custom_state_and_aux(self, small_hotspot2d):
@@ -106,33 +108,33 @@ class TestIterationControl:
         }
         aux = {"power": np.zeros((32, 32), dtype=np.float32)}
         ref = run_reference(small_hotspot2d, state=state, aux=aux)
-        out = run_functional(design, state=state, aux=aux)
+        out = FunctionalExecutor(design).interpret(state=state, aux=aux)
         assert np.array_equal(ref["a"], out["a"])
 
     def test_input_not_mutated(self, small_jacobi2d, pipe_design):
         state = small_jacobi2d.initial_state()
         snapshot = state["a"].copy()
-        run_functional(pipe_design, state=state)
+        FunctionalExecutor(pipe_design).interpret(state=state)
         assert np.array_equal(state["a"], snapshot)
 
 
 class TestPipeUsage:
     def test_pipes_created_for_sharing(self, small_jacobi2d, pipe_design):
         executor = FunctionalExecutor(pipe_design)
-        executor.run()
+        executor.interpret()
         assert executor.pipes
         for pipe in executor.pipes.values():
             assert pipe.total_writes == pipe.total_reads > 0
 
     def test_no_pipes_for_baseline(self, baseline_design):
         executor = FunctionalExecutor(baseline_design)
-        executor.run()
+        executor.interpret()
         assert executor.pipes == {}
 
     def test_no_pipes_when_depth_one(self, small_jacobi2d):
         design = make_pipe_shared_design(small_jacobi2d, (16, 16), (2, 2), 1)
         executor = FunctionalExecutor(design)
-        executor.run()
+        executor.interpret()
         assert executor.pipes == {}
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SpecificationError
-from repro.sim.functional import FunctionalExecutor, run_functional
+from repro.sim.functional import FunctionalExecutor
 from repro.stencil import (
     BoundaryPolicy,
     get_benchmark,
@@ -26,7 +26,7 @@ def periodic(spec):
 
 def assert_match(spec, design):
     ref = run_reference(spec)
-    out = run_functional(design)
+    out = FunctionalExecutor(design).interpret()
     for field in spec.pattern.fields:
         assert np.array_equal(ref[field], out[field]), field
 
@@ -75,8 +75,9 @@ class TestPeriodicBitwise:
         design = make_pipe_shared_design(spec, (12, 12), (2, 2), 2)
         state = spec.initial_state()
         rolled = {"a": np.roll(state["a"], (5, 7), axis=(0, 1))}
-        out_plain = run_functional(design, state=state)
-        out_rolled = run_functional(design, state=rolled)
+        executor = FunctionalExecutor(design)
+        out_plain = executor.interpret(state=state)
+        out_rolled = executor.interpret(state=rolled)
         assert np.array_equal(
             np.roll(out_plain["a"], (5, 7), axis=(0, 1)),
             out_rolled["a"],

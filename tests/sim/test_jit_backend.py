@@ -1,29 +1,32 @@
-"""JIT backend plumbing: selection, caching, fallback, and wiring.
+"""JIT backend plumbing: resolution, caching, fallback, and wiring.
 
 Parity itself is covered in test_jit_parity.py; this module tests the
-machinery around the compiled kernels — backend resolution order, the
-disk cache and in-process memo, the no-compiler fallback (simulated by
-pointing ``CC`` at ``/bin/false``), the executor/checkpoint/service
-surfaces, and the warm-cache contract on a scaled-down Figure 7 sweep.
+machinery around the compiled kernels — the resolution rule, the disk
+cache and in-process memo, the no-compiler and no-``cffi`` fallbacks
+(simulated by pointing ``CC`` at ``/bin/false`` and by hiding the
+``cffi`` module), the executor surface, and the warm-cache contract on
+a scaled-down Figure 7 sweep.
 """
 
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
 
 from repro import obs
 from repro.errors import BackendUnavailable
-from repro.opencl.platform import ADM_PCIE_7V3
 from repro.sim import jit
-from repro.sim.executor import SimulationExecutor
 from repro.sim.functional import FunctionalExecutor, run_functional
 from repro.stencil import jacobi_2d, run_reference
-from repro.store.checkpoint import CheckpointedExecutor
 from repro.tiling import make_baseline_design
 
 needs_cc = pytest.mark.skipif(
     jit.find_compiler() is None, reason="no working C compiler"
+)
+needs_jit = pytest.mark.skipif(
+    jit.resolve_backend() != "jit",
+    reason="JIT unavailable (no working C compiler or no cffi)",
 )
 
 
@@ -33,15 +36,13 @@ def counters():
 
 @pytest.fixture(autouse=True)
 def clean_jit(tmp_path, monkeypatch):
-    """Isolated cache, no memo/probe carry-over, no process default."""
+    """Isolated cache, no memo/probe carry-over."""
     monkeypatch.setenv(jit.CACHE_ENV, str(tmp_path / "jit-cache"))
-    jit.set_default_backend(None)
     jit.clear_memo()
     jit.clear_probe_cache()
     obs.disable()
     obs.reset()
     yield
-    jit.set_default_backend(None)
     jit.clear_memo()
     jit.clear_probe_cache()
     obs.disable()
@@ -62,55 +63,33 @@ def design(small_jacobi2d):
     return make_baseline_design(small_jacobi2d, (8, 8), (2, 2), 4)
 
 
-class TestResolutionOrder:
-    def test_numpy_always_resolves(self):
-        assert jit.resolve_backend("numpy") == "numpy"
-
+class TestResolution:
     @needs_cc
-    def test_auto_resolves_jit_with_compiler(self):
-        assert jit.resolve_backend("auto") == "jit"
+    def test_resolves_jit_with_compiler_and_cffi(self):
+        pytest.importorskip("cffi")
+        assert jit.resolve_backend() == "jit"
 
-    def test_auto_resolves_numpy_without_compiler(self, no_compiler):
-        assert jit.resolve_backend("auto") == "numpy"
+    def test_resolves_numpy_without_compiler(self, no_compiler):
+        assert jit.resolve_backend() == "numpy"
 
-    def test_jit_request_without_compiler_falls_back(self, no_compiler):
-        obs.enable()
-        assert jit.resolve_backend("jit") == "numpy"
-        assert counters()["sim.jit.fallbacks"] == 1
+    def test_resolves_numpy_without_cffi(
+        self, monkeypatch, small_jacobi2d, design
+    ):
+        monkeypatch.setitem(sys.modules, "cffi", None)
+        assert jit.resolve_backend() == "numpy"
+        executor = FunctionalExecutor(design)
+        out = executor.run()
+        assert executor.active_backend == "numpy"
+        ref = run_reference(small_jacobi2d)
+        for field in small_jacobi2d.pattern.fields:
+            assert np.array_equal(ref[field], out[field])
 
-    def test_arg_beats_process_default(self):
-        jit.set_default_backend("auto")
-        assert jit.requested_backend("numpy") == "numpy"
-
-    def test_process_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(jit.BACKEND_ENV, "auto")
-        jit.set_default_backend("numpy")
-        assert jit.requested_backend() == "numpy"
-
-    def test_env_beats_builtin_auto(self, monkeypatch):
-        monkeypatch.setenv(jit.BACKEND_ENV, "numpy")
-        assert jit.requested_backend() == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="Unknown sim backend"):
-            jit.requested_backend("fortran")
-        with pytest.raises(ValueError, match="Unknown sim backend"):
-            jit.set_default_backend("fortran")
-
-    def test_backend_report_without_compiler(self, no_compiler):
-        report = jit.backend_report("jit")
-        assert report == {
-            "requested": "jit",
-            "resolved": "numpy",
-            "compiler": None,
-        }
-
-    @needs_cc
-    def test_backend_report_with_compiler(self):
-        report = jit.backend_report("auto")
-        assert report["requested"] == "auto"
-        assert report["resolved"] == "jit"
-        assert report["compiler"]
+    def test_compiled_kernel_without_cffi_is_unavailable(
+        self, monkeypatch, design
+    ):
+        monkeypatch.setitem(sys.modules, "cffi", None)
+        with pytest.raises(BackendUnavailable, match="cffi"):
+            jit.CompiledKernel(design, np.float32, "unused.so")
 
 
 class TestCompilerProbe:
@@ -126,7 +105,7 @@ class TestCompilerProbe:
         assert first.fingerprint == second.fingerprint
 
 
-@needs_cc
+@needs_jit
 class TestKernelCache:
     def test_memo_then_disk_then_build(self, design):
         obs.enable()
@@ -188,17 +167,16 @@ class TestFallback:
         self, no_compiler, small_jacobi2d, design
     ):
         obs.enable()
-        out = run_functional(design, backend="jit")
+        out = run_functional(design)
         ref = run_reference(small_jacobi2d)
         for field in small_jacobi2d.pattern.fields:
             assert np.array_equal(ref[field], out[field])
-        assert counters()["sim.jit.fallbacks"] >= 1
         assert counters()["sim.numpy.runs"] == 1
 
     def test_executor_reports_numpy_when_unavailable(
         self, no_compiler, design
     ):
-        executor = FunctionalExecutor(design, backend="jit")
+        executor = FunctionalExecutor(design)
         executor.run()
         assert executor.active_backend == "numpy"
 
@@ -208,7 +186,7 @@ class TestFallback:
         with pytest.raises(BackendUnavailable, match="no working C"):
             jit.get_kernel(design)
 
-    @needs_cc
+    @needs_jit
     def test_clamp_boundary_stays_on_interpreter(self):
         from repro.stencil import BoundaryPolicy, hotspot_2d
 
@@ -221,7 +199,7 @@ class TestFallback:
         with pytest.raises(BackendUnavailable, match="CLAMP"):
             jit.get_kernel(design)
 
-    @needs_cc
+    @needs_jit
     def test_mixed_aux_dtype_stays_on_interpreter(self):
         from repro.stencil import hotspot_2d
 
@@ -231,79 +209,25 @@ class TestFallback:
             name: grid.astype(np.float64)
             for name, grid in spec.aux_state().items()
         }
-        expected = run_functional(design, aux=aux, backend="numpy")
-        executor = FunctionalExecutor(design, backend="jit")
+        executor = FunctionalExecutor(design)
+        expected = executor.interpret(aux=aux)
         out = executor.run(aux=aux)
         assert executor.active_backend == "numpy"
         for field in spec.pattern.fields:
             assert np.array_equal(expected[field], out[field])
 
 
-@needs_cc
+@needs_jit
 class TestExecutorWiring:
     def test_functional_executor_active_backend(
         self, small_jacobi2d, design
     ):
-        executor = FunctionalExecutor(design, backend="jit")
+        executor = FunctionalExecutor(design)
         out = executor.run()
         assert executor.active_backend == "jit"
         ref = run_reference(small_jacobi2d)
         for field in small_jacobi2d.pattern.fields:
             assert np.array_equal(ref[field], out[field])
-
-    def test_simulation_executor_execute_and_result_stamp(
-        self, small_jacobi2d, design
-    ):
-        executor = SimulationExecutor(ADM_PCIE_7V3, backend="jit")
-        assert executor.resolved_backend() == "jit"
-        out = executor.execute(design)
-        ref = run_reference(small_jacobi2d)
-        for field in small_jacobi2d.pattern.fields:
-            assert np.array_equal(ref[field], out[field])
-        assert executor.run(design).sim_backend == "jit"
-        numpy_executor = SimulationExecutor(ADM_PCIE_7V3, backend="numpy")
-        assert numpy_executor.run(design).sim_backend == "numpy"
-
-    def test_trace_events_stamp_backend(self, design):
-        from repro.sim.trace import to_chrome_trace
-
-        result = SimulationExecutor(ADM_PCIE_7V3, backend="jit").run(
-            design
-        )
-        trace = to_chrome_trace(result)
-        assert trace["otherData"]["sim_backend"] == "jit"
-        kernel_events = [
-            e
-            for e in trace["traceEvents"]
-            if e.get("args", {}).get("backend")
-        ]
-        assert kernel_events
-        assert all(
-            e["args"]["backend"] == "jit" for e in kernel_events
-        )
-
-    def test_checkpointed_executor_passthrough(
-        self, small_jacobi2d, design
-    ):
-        executor = CheckpointedExecutor(ADM_PCIE_7V3, sim_backend="jit")
-        assert executor.resolved_backend() == "jit"
-        out = executor.execute(design)
-        ref = run_reference(small_jacobi2d)
-        for field in small_jacobi2d.pattern.fields:
-            assert np.array_equal(ref[field], out[field])
-
-    def test_service_health_reports_backend(self):
-        from repro.service import SynthesisService
-
-        jit.set_default_backend("jit")
-        service = SynthesisService(board=ADM_PCIE_7V3, workers=1)
-        try:
-            report = service.health()["sim_backend"]
-            assert report["requested"] == "jit"
-            assert report["resolved"] == "jit"
-            assert report["compiler"]
-        finally:
-            service.shutdown()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -325,7 +249,7 @@ class _SmallConfig:
         )
 
 
-@needs_cc
+@needs_jit
 class TestWarmCacheFigure7:
     def test_second_sweep_skips_all_compiles(self, monkeypatch):
         from repro.experiments import figure7
@@ -338,7 +262,6 @@ class TestWarmCacheFigure7:
         first = figure7.run_figure7(
             benchmarks=("jacobi-2d",),
             check_execution=True,
-            sim_backend="jit",
         )
         cold = counters()
         assert cold["sim.jit.compiles"] == len(first[0].depths)
@@ -348,7 +271,6 @@ class TestWarmCacheFigure7:
         second = figure7.run_figure7(
             benchmarks=("jacobi-2d",),
             check_execution=True,
-            sim_backend="jit",
         )
         warm = counters()
         assert warm["sim.jit.compiles"] == cold["sim.jit.compiles"]

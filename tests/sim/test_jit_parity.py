@@ -3,8 +3,9 @@
 The compiled backend's whole contract is bitwise equality with the
 interpreter (docs/SIM.md); every test here compares all three
 executors on the same design.  The suite is skipped wholesale when the
-host has no usable C compiler — the fallback behavior for that case is
-covered (with a monkeypatched compiler probe) in test_jit_backend.py.
+JIT is unavailable (no usable C compiler or no ``cffi``) — the
+fallback behavior for that case is covered (with a hidden compiler and
+a hidden ``cffi``) in test_jit_backend.py.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.sim import jit
-from repro.sim.functional import run_functional
+from repro.sim.functional import FunctionalExecutor
 from repro.stencil import (
     BoundaryPolicy,
     get_benchmark,
@@ -30,11 +31,10 @@ from repro.tiling import (
 
 from tests.integration.test_properties import random_cases
 
-needs_cc = pytest.mark.skipif(
-    jit.find_compiler() is None, reason="no working C compiler"
+pytestmark = pytest.mark.skipif(
+    jit.resolve_backend() != "jit",
+    reason="JIT unavailable (no working C compiler or no cffi)",
 )
-
-pytestmark = needs_cc
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -54,7 +54,7 @@ def _isolated_cache(tmp_path_factory):
 
 def assert_three_way_match(spec, design):
     ref = run_reference(spec)
-    interpreted = run_functional(design, backend="numpy")
+    interpreted = FunctionalExecutor(design).interpret()
     compiled = jit.run_jit(design)
     for field in spec.pattern.fields:
         assert np.array_equal(ref[field], interpreted[field]), field
@@ -149,8 +149,8 @@ class TestEdgeCases:
             name: grid * 2.0
             for name, grid in small_jacobi2d.initial_state().items()
         }
-        interpreted = run_functional(
-            design, state=state, iterations=3, backend="numpy"
+        interpreted = FunctionalExecutor(design).interpret(
+            state=state, iterations=3
         )
         compiled = jit.run_jit(design, state=state, iterations=3)
         for field in small_jacobi2d.pattern.fields:
