@@ -304,6 +304,12 @@ def synthesize(
                 "synthesize() takes exactly one of `source`, "
                 "`benchmark`, or `program`"
             )
+        if not isinstance(program, ProgramSpec):
+            raise SpecificationError(
+                f"`program` must be a ProgramSpec, got {program!r}; "
+                "build a library program with "
+                "repro.program.get_program(name)"
+            )
         return _synthesize_program(
             program,
             board=board,

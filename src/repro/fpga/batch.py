@@ -93,6 +93,9 @@ class BatchResources:
             pipes=self.pipes.row(i),
         )
 
+    def __getitem__(self, i: int) -> DesignResources:
+        return self.design_resources(i)
+
     def rows(self) -> List[DesignResources]:
         """Every candidate's :meth:`design_resources`, in order."""
         parts = [

@@ -13,21 +13,33 @@ to every stage of a :class:`~repro.program.spec.ProgramSpec`, plus a
   a reconfiguration penalty.
 
 Like :class:`~repro.tiling.design.StencilDesign`, a program design is
-frozen and content-addressed: :meth:`ProgramDesign.signature` keys the
-evaluator memo and the persistent design store.
+frozen and content-addressed: the store key of its
+:meth:`ProgramDesign.signature` keys the evaluator memo and the
+persistent design store.  The key is hashed from the JSON the program
+and each stage design cache (:meth:`ProgramDesign.signature_json_parts`),
+so a composed candidate costs one hash, not a fresh encoding of its
+nested signature.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Iterator, Tuple
 
 from repro.errors import DesignSpaceError
 from repro.program.spec import ProgramSpec
+from repro.store.journal import canonical_json
 from repro.tiling.design import StencilDesign
 
 #: Supported program schedules.
 SCHEDULES: Tuple[str, ...] = ("coresident", "timeshared")
+
+
+@functools.lru_cache(maxsize=1024)
+def _json_text(text: str) -> bytes:
+    """Canonical JSON of a stage name or schedule (UTF-8)."""
+    return canonical_json(text).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,27 @@ class ProgramDesign:
                 ),
             )
         return self._signature
+
+    def signature_json_parts(self) -> Iterator[bytes]:
+        """:meth:`signature` as canonical JSON (UTF-8), piece by piece.
+
+        The pieces are the encodings the program and each stage design
+        cache, joined by short literals, so hashing them into a store
+        key encodes nothing per composed candidate: their concatenation
+        is exactly ``canonical_json(self.signature())``.
+        """
+        yield b'["program-design",'
+        yield self.program.signature_json()
+        yield b",["
+        for position, (name, design) in enumerate(self.stage_designs):
+            yield b"[" if position == 0 else b",["
+            yield _json_text(name)
+            yield b","
+            yield from design.signature_json_parts()
+            yield b"]"
+        yield b"],"
+        yield _json_text(self.schedule)
+        yield b"]"
 
     def describe(self) -> str:
         """Multi-line human-readable description."""

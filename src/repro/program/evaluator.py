@@ -4,16 +4,19 @@
 tiered :class:`~repro.dse.search.SearchDriver` drives —
 ``screen_batch`` / ``evaluate_batch`` / ``explore`` / ``absorb_stats``
 plus the ``board`` / ``fidelity`` / ``estimator`` attributes — but
-over :class:`~repro.program.design.ProgramDesign` candidates.  Every
-per-stage number comes from the scoring function of a wrapped
-:class:`~repro.dse.evaluator.CandidateEvaluator` (batch engines, with
-the scalar model as the out-of-range fallback), and the composition
-rules of :mod:`repro.program.model` turn stage numbers into program
-totals.
+over :class:`~repro.program.design.ProgramDesign` candidates.  A batch
+is scored by the program batch engines of :mod:`repro.program.model`
+(:func:`~repro.program.model.predict_program_batch`,
+:func:`~repro.program.model.lower_bound_program_batch`) under the
+wrapped :class:`~repro.dse.evaluator.CandidateEvaluator`'s board,
+fidelity and FlexCL analyzer (its model and estimator share one, as
+the engine builds them): each distinct stage design is scored once,
+by the same scoring functions the stage engine uses, and every
+candidate is composed with array operations.
 
 Program-level results are themselves memoized and store-backed under
-the :meth:`~repro.program.design.ProgramDesign.signature`, so a
-program search warm-starts exactly like a single-stencil one.
+the store key of :meth:`~repro.program.design.ProgramDesign.signature`,
+so a program search warm-starts exactly like a single-stencil one.
 """
 
 from __future__ import annotations
@@ -39,37 +42,22 @@ from repro.program.design import ProgramDesign
 from repro.program.model import (
     compose_cycles,
     compose_resources,
+    lower_bound_program_batch,
+    predict_program_batch,
     program_lower_bound,
 )
-from repro.store.backing import BackingStore, StoredResult, evaluation_context
-from repro.tiling.design import StencilDesign
+from repro.store.backing import (
+    BackingStore,
+    StoredResult,
+    evaluation_context,
+    store_key,
+)
 
 _log = obs.get_logger("program")
 
-#: ``(total_cycles, resources)`` of one stage design; the resources
-#: are ``None`` when the caller supplied composed program resources.
-StageNumbers = Tuple[float, Optional[DesignResources]]
-
-
-def _distinct_stages(
-    candidates: Sequence[ProgramDesign],
-) -> Tuple[List[StencilDesign], List[List[int]]]:
-    """Distinct stage designs (by signature) and, per candidate, the
-    indices of its stages into that list."""
-    index: Dict[Tuple, int] = {}
-    stages: List[StencilDesign] = []
-    rows: List[List[int]] = []
-    for pdesign in candidates:
-        row = []
-        for _name, design in pdesign.stage_designs:
-            sig = design.signature()
-            j = index.get(sig)
-            if j is None:
-                j = index[sig] = len(stages)
-                stages.append(design)
-            row.append(j)
-        rows.append(row)
-    return stages, rows
+#: ``(total_cycles, resources)`` of one design; the resources are
+#: ``None`` when the caller supplied composed program resources.
+Numbers = Tuple[float, Optional[DesignResources]]
 
 
 class ProgramEvaluator:
@@ -110,12 +98,14 @@ class ProgramEvaluator:
         )
         #: Lifetime aggregate over every evaluate/explore call.
         self.stats = EvaluationStats()
-        self._results: "OrderedDict[Tuple, EvaluatedDesign]" = OrderedDict()
+        #: Memo keyed by each program design's store key under
+        #: ``store_context`` (``None`` without a store).
+        self._results: "OrderedDict[str, EvaluatedDesign]" = OrderedDict()
         self._lock = threading.Lock()
 
     # -- composed primitives ---------------------------------------------------
 
-    def _stage_numbers(self, design: ProgramDesign) -> List[StageNumbers]:
+    def _stage_numbers(self, design: ProgramDesign) -> List[Numbers]:
         return self.stage_engine._score(
             [d for _name, d in design.stage_designs]
         )
@@ -139,6 +129,26 @@ class ProgramEvaluator:
             for _name, d in design.stage_designs
         ]
         return program_lower_bound(design, bounds, self.board)
+
+    def _compose(
+        self, designs: Sequence[ProgramDesign], with_resources: bool
+    ) -> List[Numbers]:
+        """Composed ``(cycles, resources)`` per design, in order: one
+        :func:`~repro.program.model.predict_program_batch` call, which
+        scores each distinct stage once.  Resources are ``None``, and
+        never estimated, unless ``with_resources``."""
+        if not designs:
+            return []
+        batch = predict_program_batch(
+            designs,
+            board=self.board,
+            fidelity=self.fidelity,
+            flexcl=self.model.estimator,
+        )
+        cycles = batch.total.tolist()
+        if not with_resources:
+            return [(c, None) for c in cycles]
+        return list(zip(cycles, batch.resources.rows()))
 
     # -- store + memo plumbing -------------------------------------------------
 
@@ -174,44 +184,46 @@ class ProgramEvaluator:
         verdict, the admissible composed lower bound, and the composed
         resources (which the tiered driver hands to
         :meth:`evaluate_batch`).  Each distinct stage design is scored
-        once, however many candidates share it.  Nothing is memoized —
-        screening a huge product space leaves the caches O(chunk).
+        once, however many candidates share it, and the chunk is
+        composed with array operations
+        (:func:`~repro.program.model.predict_program_batch`, of which
+        only the resources are read, and
+        :func:`~repro.program.model.lower_bound_program_batch`).
+        Nothing is memoized — screening a huge product space leaves
+        the caches O(chunk).
         """
         candidates = list(candidates)
         if not candidates:
             return [], [], []
-        stages, rows = _distinct_stages(candidates)
-        stage_res = self.stage_engine._estimate(stages)
-        stage_bounds = self.stage_engine._bounds(stages)
-        feasible: List[bool] = []
-        bounds: List[float] = []
-        resources: List[DesignResources] = []
-        for pdesign, row in zip(candidates, rows):
-            composed = compose_resources(
-                pdesign.schedule, [stage_res[j] for j in row]
-            )
-            feasible.append(composed.total.fits_within(budget.limit))
-            bounds.append(
-                program_lower_bound(
-                    pdesign, [stage_bounds[j] for j in row], self.board
-                )
-            )
-            resources.append(composed)
-        return feasible, bounds, resources
+        composed = predict_program_batch(
+            candidates,
+            board=self.board,
+            fidelity=self.fidelity,
+            flexcl=self.model.estimator,
+        ).resources
+        bounds = lower_bound_program_batch(
+            candidates,
+            board=self.board,
+            fidelity=self.fidelity,
+            flexcl=self.model.estimator,
+        ).tolist()
+        feasible = composed.feasible(budget.limit).tolist()
+        return feasible, bounds, composed.rows()
 
     # -- tier-1 evaluation -----------------------------------------------------
 
     def _evaluate_one(
         self,
         design: ProgramDesign,
+        key: str,
         budget: ResourceBudget,
         stats: EvaluationStats,
-        stored: Dict[Tuple, Optional[StoredResult]],
-        stages: Dict[Tuple, StageNumbers],
+        stored: Dict[str, Optional[StoredResult]],
+        scored: Dict[str, Numbers],
         resources: Optional[DesignResources],
     ) -> Optional[EvaluatedDesign]:
         result, outcome = self._score_one(
-            design, budget, stats, stored, stages, resources
+            design, key, budget, stats, stored, scored, resources
         )
         # Every composed candidate flows through the stage engine's
         # per-candidate hook, exactly like single-stencil candidates
@@ -227,49 +239,44 @@ class ProgramEvaluator:
     def _score_one(
         self,
         design: ProgramDesign,
+        key: str,
         budget: ResourceBudget,
         stats: EvaluationStats,
-        stored: Dict[Tuple, Optional[StoredResult]],
-        stages: Dict[Tuple, StageNumbers],
+        stored: Dict[str, Optional[StoredResult]],
+        scored: Dict[str, Numbers],
         resources: Optional[DesignResources],
     ) -> Tuple[Optional[EvaluatedDesign], str]:
         stats.candidates += 1
-        sig = design.signature()
         with self._lock:
-            cached = self._results.get(sig)
+            cached = self._results.get(key)
         if cached is not None:
             stats.cache_hits += 1
             if not cached.resources.total.fits_within(budget.limit):
                 stats.infeasible += 1
                 return None, "infeasible"
             return cached, "cache-hit"
-        entry = stored.get(sig)
+        entry = stored.get(key)
         if entry is not None and entry.complete:
             result = EvaluatedDesign(design, entry.cycles, entry.resources)
             with self._lock:
-                result = self._results.setdefault(sig, result)
+                result = self._results.setdefault(key, result)
             stats.store_hits += 1
             if not result.resources.total.fits_within(budget.limit):
                 stats.infeasible += 1
                 return None, "infeasible"
             return result, "store-hit"
-        numbers = [stages[d.signature()] for _name, d in design.stage_designs]
+        cycles, composed = scored[key]
         if resources is None:
-            resources = compose_resources(
-                design.schedule, [r for _c, r in numbers]
-            )
+            resources = composed
         if not resources.total.fits_within(budget.limit):
             stats.infeasible += 1
             self._store_record(design, resources=resources)
             return None, "infeasible"
-        cycles = compose_cycles(
-            design, [c for c, _r in numbers], self.board
-        )
         stats.evaluated += 1
         self._store_record(design, cycles=cycles, resources=resources)
         result = EvaluatedDesign(design, cycles, resources)
         with self._lock:
-            result = self._results.setdefault(sig, result)
+            result = self._results.setdefault(key, result)
         return result, "evaluated"
 
     def evaluate_batch(
@@ -282,16 +289,18 @@ class ProgramEvaluator:
         """Score a batch of programs; results match input order.
 
         Each distinct program the memo cannot answer is looked up in
-        the store once; the stage designs of those the store cannot
-        answer either are scored by one call of the stage engine's
-        scoring function.  Stage scoring adds no stage-level memo
-        entries, store traffic, stats or trace events.
+        the store once; those the store cannot answer either are
+        composed in one :meth:`_compose` pass, which scores each of
+        their distinct stage designs once.  Stage scoring adds no
+        stage-level memo entries, store traffic, stats or trace events.
+        The memo, the store and this batch's bookkeeping all key a
+        program design by its store key, which it hashes once from
+        cached stage encodings.
 
         ``resources`` are the candidates' composed resources when the
         caller already holds them (the tiered driver passes Tier-0's,
-        aligned with ``candidates``): the stages then need cycles only,
-        and nothing is composed again.  Memo and store answers still
-        take precedence.
+        aligned with ``candidates``): only cycles are composed then.
+        Memo and store answers still take precedence.
         """
         delta = EvaluationStats()
         start = time.perf_counter()
@@ -300,36 +309,34 @@ class ProgramEvaluator:
             candidates=len(candidates),
             budget=budget.label,
         ):
-            stored: Dict[Tuple, Optional[StoredResult]] = {}
-            fresh: Dict[Tuple, StencilDesign] = {}
-            for design in candidates:
-                sig = design.signature()
+            keys = [
+                store_key(design, self.store_context) for design in candidates
+            ]
+            stored: Dict[str, Optional[StoredResult]] = {}
+            fresh: Dict[str, ProgramDesign] = {}
+            for design, key in zip(candidates, keys):
                 with self._lock:
-                    known = sig in self._results
-                if known or sig in stored:
+                    known = key in self._results
+                if known or key in stored:
                     continue
-                entry = stored[sig] = self._store_lookup(design)
+                entry = stored[key] = self._store_lookup(design)
                 if entry is None or not entry.complete:
-                    for _name, d in design.stage_designs:
-                        fresh.setdefault(d.signature(), d)
-            designs = list(fresh.values())
-            if resources is None:
-                scored = self.stage_engine._score(designs)
-            else:
-                # Tier-0 composed every candidate's resources already;
-                # the stages need cycles only.
-                scored = [
-                    (cycles, None)
-                    for cycles in self.stage_engine._predict(designs)
-                ]
-            stages = dict(zip(fresh, scored))
+                    fresh[key] = design
+            scored = dict(
+                zip(
+                    fresh,
+                    self._compose(list(fresh.values()), resources is None),
+                )
+            )
             if resources is None:
                 resources = [None] * len(candidates)
             results = [
                 self._evaluate_one(
-                    design, budget, delta, stored, stages, composed
+                    design, key, budget, delta, stored, scored, composed
                 )
-                for design, composed in zip(candidates, resources)
+                for design, key, composed in zip(
+                    candidates, keys, resources
+                )
             ]
         delta.wall_time_s = time.perf_counter() - start
         if stats is not None:

@@ -28,33 +28,41 @@ Every inter-stage field spills through DDR (its Eq. 4-6 cost is
 already inside each stage's own prediction), and each stage transition
 pays a reconfiguration penalty.
 
-The module also provides the program analogues of the batch engines:
-:func:`predict_program_batch` flattens all stage designs of all
-candidates into single :func:`~repro.model.batch.predict_batch` /
-:func:`~repro.fpga.batch.estimate_batch` calls and recomposes, and
 :func:`program_lower_bound` composes per-stage admissible bounds into
 a program bound that never exceeds the composed prediction (each stage
 bound never exceeds its stage prediction, and the forwarding savings
 subtracted are identical on both sides) — so the tiered search's
 Tier-0 screen stays admissible for programs.
+
+The module also provides the program analogues of the batch engines,
+which the :class:`~repro.program.evaluator.ProgramEvaluator` scores
+with: :func:`predict_program_batch` and
+:func:`lower_bound_program_batch` score each *distinct* stage design
+of a batch once, then compose every candidate with array operations
+over per-candidate stage-index rows.  They match the scalar
+:func:`compose_cycles` / :func:`compose_resources` /
+:func:`program_lower_bound`, which stay as their parity oracle, bitwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+import functools
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.fpga.batch import estimate_batch
+from repro.dse.evaluator import CandidateEvaluator
+from repro.fpga.batch import BatchResources, ResourceColumns
 from repro.fpga.estimator import DesignResources
 from repro.fpga.flexcl import FlexCLEstimator
 from repro.fpga.resources import ResourceVector
-from repro.model.batch import lower_bound_batch, predict_batch
-from repro.model.predictor import Fidelity
+from repro.model.predictor import Fidelity, PerformanceModel
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.program.design import ProgramDesign
-from repro.program.spec import ProgramEdge
+from repro.program.spec import ProgramEdge, ProgramSpec
+from repro.tiling.design import StencilDesign
+
+_COMPONENTS = ("ff", "lut", "dsp", "bram18")
 
 #: Cycles charged per stage transition under the time-shared schedule
 #: (kernel teardown, partial reconfiguration, relaunch).  A modeling
@@ -97,10 +105,17 @@ def forwarding_savings(
     """
     total = 0.0
     for edge in forwardable_edges(design):
-        spec = design.program.stage(edge.producer).spec
-        field_bytes = spec.total_cells * spec.element_bytes
-        total += 2.0 * field_bytes / board.effective_bytes_per_cycle
+        total += _edge_saving(design.program, edge, board)
     return total
+
+
+def _edge_saving(
+    program: ProgramSpec, edge: ProgramEdge, board: BoardSpec
+) -> float:
+    """DDR cycles one forwarded edge saves: a full-grid write and read."""
+    spec = program.stage(edge.producer).spec
+    field_bytes = spec.total_cells * spec.element_bytes
+    return 2.0 * field_bytes / board.effective_bytes_per_cycle
 
 
 def compose_cycles(
@@ -159,27 +174,205 @@ def program_lower_bound(
     return max(total - forwarding_savings(design, board), slowest)
 
 
-@dataclass(frozen=True)
-class ProgramBatchPrediction:
-    """Composed per-candidate program predictions and resources."""
+class _StageIndex:
+    """The distinct stage designs of a batch of programs, and where each
+    candidate's stages sit among them.
 
-    #: Composed program latency per candidate (cycles).
-    total: np.ndarray
-    #: Per-candidate per-stage latencies, aligned with each program's
-    #: topological stage order.
-    stage_cycles: Tuple[Tuple[float, ...], ...]
-    #: Composed program resources per candidate.
-    resources: Tuple[DesignResources, ...]
+    Candidates are grouped by program and schedule, the composition
+    rules' only inputs besides the stage numbers.  In a group, row
+    ``r`` of ``rows`` lists the distinct-stage indices of candidate
+    ``positions[r]`` in topological stage order.  A stage design
+    shared by many candidates (the product space shares every one) is
+    matched by identity first and by signature second, so each
+    distinct design is scored once however many candidates hold it.
+    """
+
+    def __init__(self, designs: Sequence[ProgramDesign]):
+        self.size = len(designs)
+        self.stages: List[StencilDesign] = []
+        slots: Dict[int, int] = {}
+        distinct: Dict[Tuple, int] = {}
+        groups: Dict[Tuple[int, str], tuple] = {}
+        for i, pdesign in enumerate(designs):
+            group_key = (id(pdesign.program), pdesign.schedule)
+            group = groups.get(group_key)
+            if group is None:
+                group = groups[group_key] = (pdesign, [], [])
+            group[1].append(i)
+            flat = group[2]
+            for _name, design in pdesign.stage_designs:
+                j = slots.get(id(design))
+                if j is None:
+                    j = distinct.setdefault(
+                        design.signature(), len(self.stages)
+                    )
+                    if j == len(self.stages):
+                        self.stages.append(design)
+                    slots[id(design)] = j
+                flat.append(j)
+        #: ``(exemplar, positions, rows)`` per group.
+        self.groups = [
+            (
+                exemplar,
+                np.asarray(positions, dtype=np.intp),
+                np.asarray(flat, dtype=np.intp).reshape(
+                    len(positions), exemplar.num_stages
+                ),
+            )
+            for exemplar, positions, flat in groups.values()
+        ]
+
+    def compose(
+        self, stage_values: np.ndarray, board: BoardSpec
+    ) -> np.ndarray:
+        """:func:`compose_cycles` of every candidate, bitwise.
+
+        ``stage_values`` holds one number per distinct stage; given
+        stage bounds instead of predictions this is
+        :func:`program_lower_bound`, the same formula.  Stage numbers
+        add left to right, as Python's ``sum`` does, and a forwarded
+        edge's saving joins the running total exactly when
+        :func:`forwardable_edges` lists the edge: its producer and
+        consumer tile grids have equal region shapes and counts.
+        """
+        out = np.empty(self.size, dtype=np.float64)
+        alignment = None
+        for exemplar, positions, rows in self.groups:
+            values = stage_values[rows]
+            total = values[:, 0]
+            for column in range(1, rows.shape[1]):
+                total = total + values[:, column]
+            if exemplar.schedule == "timeshared":
+                out[positions] = total + RECONFIGURATION_CYCLES * (
+                    exemplar.num_stages - 1
+                )
+                continue
+            if alignment is None:
+                alignment = self._alignment()
+            column_of = {
+                name: column
+                for column, (name, _d) in enumerate(exemplar.stage_designs)
+            }
+            savings = np.zeros(len(positions), dtype=np.float64)
+            for edge in exemplar.program.edges:
+                aligned = (
+                    alignment[rows[:, column_of[edge.producer]]]
+                    == alignment[rows[:, column_of[edge.consumer]]]
+                )
+                saving = _edge_saving(exemplar.program, edge, board)
+                savings = savings + np.where(aligned, saving, 0.0)
+            out[positions] = np.maximum(total - savings, values.max(axis=1))
+        return out
+
+    def compose_resources(
+        self, stage_resources: Sequence[DesignResources]
+    ) -> BatchResources:
+        """:func:`compose_resources` of every candidate, as ``int64`` columns.
+
+        ``stage_resources`` holds one estimate per distinct stage.
+        """
+        width = len(_COMPONENTS)
+        table = np.array(
+            [
+                [
+                    getattr(vector, component)
+                    for vector in (r.total, r.kernels, r.pipes)
+                    for component in _COMPONENTS
+                ]
+                for r in stage_resources
+            ],
+            dtype=np.int64,
+        ).reshape(len(stage_resources), 3 * width)
+        out = np.empty((self.size, 3 * width), dtype=np.int64)
+        for exemplar, positions, rows in self.groups:
+            fold = np.maximum if exemplar.schedule == "timeshared" else np.add
+            values = table[rows]
+            acc = values[:, 0]
+            for column in range(1, rows.shape[1]):
+                acc = fold(acc, values[:, column])
+            out[positions] = acc
+        return BatchResources(
+            *(
+                ResourceColumns(
+                    *(out[:, v * width + c] for c in range(width))
+                )
+                for v in range(3)
+            )
+        )
+
+    def _alignment(self) -> np.ndarray:
+        """Per distinct stage, an id of its ``(region_shape, counts)``."""
+        ids: Dict[Tuple, int] = {}
+        return np.asarray(
+            [
+                ids.setdefault(
+                    (d.tile_grid.region_shape, d.tile_grid.counts), len(ids)
+                )
+                for d in self.stages
+            ],
+            dtype=np.intp,
+        )
+
+
+def _stage_engine(
+    board: BoardSpec, fidelity: Fidelity, flexcl: Optional[FlexCLEstimator]
+) -> CandidateEvaluator:
+    """Scores distinct stage designs: the batch engines, and the scalar
+    model and estimator for a batch outside their exact range."""
+    return CandidateEvaluator(
+        board=board,
+        fidelity=fidelity,
+        model=PerformanceModel(board, fidelity, flexcl or FlexCLEstimator()),
+    )
+
+
+class ProgramBatchPrediction:
+    """Composed per-candidate program predictions and resources.
+
+    ``total`` is composed when the batch is predicted; ``resources``
+    on first access, so a caller that already holds the composed
+    resources (the tiered search's Tier-1 holds Tier-0's) runs no
+    resource estimator.
+    """
+
+    def __init__(
+        self,
+        index: _StageIndex,
+        stage_totals: np.ndarray,
+        board: BoardSpec,
+        engine: CandidateEvaluator,
+    ):
+        self._index = index
+        self._stage_totals = stage_totals
+        self._engine = engine
+        #: Composed program latency per candidate (cycles).
+        self.total: np.ndarray = index.compose(stage_totals, board)
 
     def __len__(self) -> int:
         return len(self.total)
 
+    @property
+    def stage_cycles(self) -> Tuple[Tuple[float, ...], ...]:
+        """Per-candidate per-stage latencies, aligned with each
+        program's topological stage order."""
+        out: List[Tuple[float, ...]] = [()] * len(self.total)
+        for _exemplar, positions, rows in self._index.groups:
+            for i, row in zip(
+                positions.tolist(), self._stage_totals[rows].tolist()
+            ):
+                out[i] = tuple(row)
+        return tuple(out)
+
+    @functools.cached_property
+    def resources(self) -> BatchResources:
+        """Composed program resources per candidate, as columns;
+        ``resources[i]`` is candidate ``i``'s :class:`DesignResources`."""
+        index = self._index
+        return index.compose_resources(self._engine._estimate(index.stages))
+
     def feasible(self, limit: ResourceVector) -> np.ndarray:
         """Boolean mask: which programs fit within the shared budget."""
-        return np.asarray(
-            [r.total.fits_within(limit) for r in self.resources],
-            dtype=bool,
-        )
+        return self.resources.feasible(limit)
 
 
 def predict_program_batch(
@@ -190,44 +383,19 @@ def predict_program_batch(
 ) -> ProgramBatchPrediction:
     """Predict composed latency + resources for a batch of programs.
 
-    Flattens every candidate's stage designs into one
-    :func:`~repro.model.batch.predict_batch` and one
-    :func:`~repro.fpga.batch.estimate_batch` call, then recomposes the
-    per-stage results along each candidate's DAG under its schedule.
-
-    Raises:
-        BatchRangeError: when any stage design's geometry exceeds the
-            batch engines' exact-parity range (fall back to scalar
-            per-stage scoring).
+    Scores each distinct stage design once, in one pass of the batch
+    model (its resources in one pass of the batch estimator, when
+    first read), then composes every candidate along its DAG under its
+    schedule with array operations over stage indices.  Entry ``i``
+    equals :func:`compose_cycles` / :func:`compose_resources` of
+    candidate ``i``'s stage numbers, bitwise; those scalar functions
+    are the oracle.  Stage designs outside the batch engines' exact
+    range are scored by the scalar model and estimator — same numbers.
     """
-    designs = list(designs)
-    flexcl = flexcl or FlexCLEstimator()
-    flat = []
-    offsets = []
-    for pdesign in designs:
-        offsets.append(len(flat))
-        flat.extend(d for _name, d in pdesign.stage_designs)
-    offsets.append(len(flat))
-    if flat:
-        prediction = predict_batch(
-            flat, board=board, fidelity=fidelity, flexcl=flexcl
-        )
-        resources = estimate_batch(flat, flexcl=flexcl)
-    total = np.zeros(len(designs), dtype=np.float64)
-    stage_cycles: List[Tuple[float, ...]] = []
-    composed: List[DesignResources] = []
-    for i, pdesign in enumerate(designs):
-        lo, hi = offsets[i], offsets[i + 1]
-        cycles = tuple(float(prediction.total[j]) for j in range(lo, hi))
-        stage_res = [resources.design_resources(j) for j in range(lo, hi)]
-        total[i] = compose_cycles(pdesign, cycles, board)
-        stage_cycles.append(cycles)
-        composed.append(compose_resources(pdesign.schedule, stage_res))
-    return ProgramBatchPrediction(
-        total=total,
-        stage_cycles=tuple(stage_cycles),
-        resources=tuple(composed),
-    )
+    index = _StageIndex(list(designs))
+    engine = _stage_engine(board, fidelity, flexcl)
+    stage_totals = np.asarray(engine._predict(index.stages), dtype=np.float64)
+    return ProgramBatchPrediction(index, stage_totals, board, engine)
 
 
 def lower_bound_program_batch(
@@ -238,23 +406,11 @@ def lower_bound_program_batch(
 ) -> np.ndarray:
     """Admissible composed lower bounds for a batch of programs.
 
-    Raises:
-        BatchRangeError: when any stage design exceeds the batch
-            engines' exact-parity range.
+    Each distinct stage design's bound comes from one pass of the
+    batch bound (the scalar bound out of its range); entry ``i``
+    equals :func:`program_lower_bound` of candidate ``i``'s stage
+    bounds, bitwise.
     """
-    designs = list(designs)
-    flexcl = flexcl or FlexCLEstimator()
-    flat = []
-    offsets = []
-    for pdesign in designs:
-        offsets.append(len(flat))
-        flat.extend(d for _name, d in pdesign.stage_designs)
-    offsets.append(len(flat))
-    if flat:
-        bounds = lower_bound_batch(flat, fidelity=fidelity, flexcl=flexcl)
-    out = np.zeros(len(designs), dtype=np.float64)
-    for i, pdesign in enumerate(designs):
-        lo, hi = offsets[i], offsets[i + 1]
-        stage_bounds = [float(bounds[j]) for j in range(lo, hi)]
-        out[i] = program_lower_bound(pdesign, stage_bounds, board)
-    return out
+    index = _StageIndex(list(designs))
+    bounds = _stage_engine(board, fidelity, flexcl)._bounds(index.stages)
+    return index.compose(np.asarray(bounds, dtype=np.float64), board)

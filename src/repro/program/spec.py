@@ -35,6 +35,7 @@ from typing import Dict, List, Tuple
 
 from repro.errors import SpecificationError
 from repro.stencil.spec import StencilSpec
+from repro.store.journal import canonical_json
 
 
 @dataclass(frozen=True)
@@ -254,22 +255,40 @@ class ProgramSpec:
         their full spec signatures (in declaration order) plus the
         sorted edge list.  Equal signatures imply identical model,
         search, and simulation results, so the signature keys the
-        evaluator memo and the persistent design store.
+        evaluator memo and the persistent design store.  The tuple is
+        cached on the instance (the dataclass is frozen, so it can never
+        go stale).
         """
-        return (
-            "program",
-            self.name,
-            tuple(
-                (stage.name, stage.spec.signature())
-                for stage in self.stages
-            ),
-            tuple(
-                sorted(
-                    (e.producer, e.field, e.consumer, e.target)
-                    for e in self.edges
-                )
-            ),
-        )
+        cached = self.__dict__.get("_signature")
+        if cached is None:
+            cached = (
+                "program",
+                self.name,
+                tuple(
+                    (stage.name, stage.spec.signature())
+                    for stage in self.stages
+                ),
+                tuple(
+                    sorted(
+                        (e.producer, e.field, e.consumer, e.target)
+                        for e in self.edges
+                    )
+                ),
+            )
+            object.__setattr__(self, "_signature", cached)
+        return cached
+
+    def signature_json(self) -> bytes:
+        """:meth:`signature` as canonical JSON (UTF-8), encoded once.
+
+        Every :class:`~repro.program.design.ProgramDesign` of this
+        program hashes these bytes into its store key.
+        """
+        cached = self.__dict__.get("_signature_json")
+        if cached is None:
+            cached = canonical_json(self.signature()).encode("utf-8")
+            object.__setattr__(self, "_signature_json", cached)
+        return cached
 
     def describe(self) -> str:
         """One-line human-readable description."""

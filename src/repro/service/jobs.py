@@ -16,6 +16,8 @@ produces.
 
 from __future__ import annotations
 
+import functools
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,6 +49,15 @@ _CONTENT_FIELDS = (
 )
 #: Scheduling-only fields accepted alongside the content fields.
 _SCHED_FIELDS = ("priority", "timeout_s")
+#: Content fields a program job ignores, with their defaults: any
+#: other value would only split the dedup signature of equal programs.
+_STENCIL_ONLY_DEFAULTS = {
+    "tile_shape": None,
+    "counts": None,
+    "fused_depth": None,
+    "unroll": 1,
+    "design": "heterogeneous",
+}
 
 
 class JobState(str, Enum):
@@ -83,6 +94,35 @@ def _int_tuple(name: str, value) -> Optional[Tuple[int, ...]]:
     if not isinstance(value, (list, tuple)) or not value:
         raise ServiceError(f"{name} must be a non-empty list of ints")
     return tuple(_positive_int(name, v) for v in value)
+
+
+def _priority(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ServiceError(f"priority must be an integer, got {value!r}")
+    return value
+
+
+def _timeout(value) -> Optional[float]:
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        raise ServiceError(
+            f"timeout_s must be a positive number of seconds, got {value!r}"
+        )
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _library_ndim(benchmark: Optional[str], program: Optional[str]) -> int:
+    """Grid dimensions of a library benchmark or program."""
+    if benchmark is not None:
+        return BENCHMARKS[benchmark]().ndim
+    return PROGRAM_BENCHMARKS[program]().stages[0].spec.ndim
 
 
 def _string(name: str, value) -> Optional[str]:
@@ -187,8 +227,16 @@ class JobRequest:
         benchmark and program names outside the libraries, a
         non-string ``source``/``name``, an ``aux`` that is not a list
         of strings, a ``field_map`` that does not map strings to
-        strings, and a ``source`` job without ``grid_shape`` and
-        ``iterations``.
+        strings, a ``source`` job without ``grid_shape`` and
+        ``iterations``, a ``priority`` that is not an integer, a
+        ``timeout_s`` that is not a positive finite number,
+        ``grid_shape``/``tile_shape``/``counts`` whose length is not
+        the workload's dimension count (a ``source`` job's is its
+        ``grid_shape``'s), and a ``program`` job setting a
+        single-stencil field it would ignore (``tile_shape``,
+        ``counts``, ``fused_depth``, ``unroll``, ``design``) to
+        anything but its default, which would split the dedup
+        signature of identical programs.
         """
         if not isinstance(payload, dict):
             raise ServiceError("job payload must be a JSON object")
@@ -208,8 +256,18 @@ class JobRequest:
             raise ServiceError(
                 "a 'source' job needs 'grid_shape' and 'iterations'"
             )
+        if payload.get("program") is not None:
+            ignored = [
+                key
+                for key, default in _STENCIL_ONLY_DEFAULTS.items()
+                if payload.get(key, default) != default
+            ]
+            if ignored:
+                raise ServiceError(
+                    f"a 'program' job takes no {', '.join(ignored)}"
+                )
         try:
-            return cls(
+            request = cls(
                 benchmark=_known(
                     "benchmark", payload.get("benchmark"), BENCHMARKS
                 ),
@@ -234,11 +292,23 @@ class JobRequest:
                 ),
                 unroll=_positive_int("unroll", payload.get("unroll", 1)),
                 design=payload.get("design", "heterogeneous"),
-                priority=int(payload.get("priority", 0)),
-                timeout_s=payload.get("timeout_s"),
+                priority=_priority(payload.get("priority", 0)),
+                timeout_s=_timeout(payload.get("timeout_s")),
             )
         except (TypeError, ValueError) as exc:
             raise ServiceError(f"malformed job payload: {exc}") from exc
+        if request.source is not None:
+            ndim = len(request.grid_shape)
+        else:
+            ndim = _library_ndim(request.benchmark, request.program)
+        for key in ("grid_shape", "tile_shape", "counts"):
+            shape = getattr(request, key)
+            if shape is not None and len(shape) != ndim:
+                raise ServiceError(
+                    f"{key} has {len(shape)} entries; the workload has "
+                    f"{ndim} dimensions"
+                )
+        return request
 
     def content(self) -> Dict[str, Any]:
         """The signature-relevant fields, JSON-canonicalizable."""

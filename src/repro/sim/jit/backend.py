@@ -139,10 +139,13 @@ def clear_memo() -> None:
 
     Does not delete on-disk artifacts; a subsequent :func:`get_kernel`
     re-reads the disk cache (and re-resolves ``REPRO_JIT_CACHE``).
+    The dropped cache's journal handle is closed.
     """
     global _shared_cache
     with _memo_lock:
         _kernel_memo.clear()
+        if _shared_cache is not None:
+            _shared_cache.close()
         _shared_cache = None
 
 

@@ -166,11 +166,15 @@ class KernelCache:
             return hit
         return self.build(key, source, compiler)
 
-    def clear(self) -> int:
-        """Delete every cached artifact; returns the number removed."""
+    def close(self) -> None:
+        """Release the build-record journal's handle (reopened on use)."""
         if self._journal is not None:
             self._journal.close()
             self._journal = None
+
+    def clear(self) -> int:
+        """Delete every cached artifact; returns the number removed."""
+        self.close()
         removed = 0
         if not self.root.exists():
             return removed

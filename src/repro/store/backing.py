@@ -24,6 +24,7 @@ miss and writes through on every fresh evaluation.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import pathlib
 import re
@@ -109,6 +110,39 @@ def design_key(design_signature, context: str) -> str:
             "design": design_signature,
         }
     )
+
+
+#: What :func:`design_key`'s canonical JSON holds after the signature.
+_KEY_TAIL = (',"schema":' + canonical_json(STORE_SCHEMA) + "}").encode()
+
+
+@functools.lru_cache(maxsize=64)
+def _key_head(context: Optional[str]) -> bytes:
+    """What :func:`design_key`'s canonical JSON holds before the signature."""
+    return ('{"ctx":' + canonical_json(context) + ',"design":').encode()
+
+
+def store_key(design, context: Optional[str]) -> str:
+    """``design_key(design.signature(), context)``, without re-encoding.
+
+    Hashes the same bytes, so the keys are identical, but takes the
+    signature's JSON from :meth:`signature_json_parts`, which the
+    design types build from encodings they cache: a stencil design
+    and a program are encoded once, and a composed program design
+    only joins them.  The key is cached on the design for its last
+    context, so the memo, a lookup and a write of one candidate hash
+    it once.
+    """
+    cached = design.__dict__.get("_store_key")
+    if cached is not None and cached[0] == context:
+        return cached[1]
+    hasher = hashlib.sha256(_key_head(context))
+    for part in design.signature_json_parts():
+        hasher.update(part)
+    hasher.update(_KEY_TAIL)
+    key = hasher.hexdigest()
+    object.__setattr__(design, "_store_key", (context, key))
+    return key
 
 
 @dataclass(frozen=True)
@@ -266,7 +300,7 @@ class DesignStore:
     def _lookup_design(
         self, design: StencilDesign, context: str
     ) -> Optional[StoredResult]:
-        key = design_key(design.signature(), context)
+        key = store_key(design, context)
         with self._lock:
             entry = self._entries.get(key)
         if entry is None or entry.get("v") != STORE_SCHEMA:
@@ -297,7 +331,7 @@ class DesignStore:
         """Write through one result, merging with any existing entry."""
         if cycles is None and resources is None:
             return
-        key = design_key(design.signature(), context)
+        key = store_key(design, context)
         record = {
             "key": key,
             "v": STORE_SCHEMA,

@@ -158,6 +158,23 @@ class StencilDesign:
             object.__setattr__(self, "_signature", cached)
         return cached
 
+    def signature_json_parts(self) -> Tuple[bytes]:
+        """:meth:`signature` as canonical JSON (UTF-8), in one piece.
+
+        Encoded once and cached like the signature.  The store hashes
+        these bytes into the design's key, and a program design hashes
+        them into its own for every stage bound to this design, so a
+        design is encoded once however many keys include it.
+        """
+        cached = self.__dict__.get("_signature_json")
+        if cached is None:
+            # Imported here: the store imports this module.
+            from repro.store.journal import canonical_json
+
+            cached = (canonical_json(self.signature()).encode("utf-8"),)
+            object.__setattr__(self, "_signature_json", cached)
+        return cached
+
     def describe(self) -> str:
         """Short human-readable design summary."""
         counts = "x".join(str(c) for c in self.tile_grid.counts)

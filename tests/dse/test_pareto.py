@@ -84,6 +84,26 @@ class TestParetoFront:
     def test_empty_input(self):
         assert pareto_front([]) == []
 
+    def test_ties_off_the_front_are_not_rendered(self):
+        # Signatures decide only ties that reach the front; rendering
+        # the dominated ones (long program signatures) decides nothing.
+        class Unrendered:
+            def signature(self):
+                raise AssertionError("rendered a tie off the front")
+
+        def unrendered(cycles, bram):
+            resources = make_candidate(cycles, bram).resources
+            return EvaluatedDesign(Unrendered(), cycles, resources)
+
+        winner = make_candidate(100, 10)
+        dominated = [unrendered(200, 20) for _ in range(5)]
+        tied = [make_candidate(50, 30, tile=t) for t in ((8, 8), (16, 4))]
+        front = pareto_front(dominated + [winner] + tied)
+        assert front == [
+            min(tied, key=lambda c: repr(c.design.signature())),
+            winner,
+        ]
+
 
 def _dominates(a, b):
     """True when ``a`` is no worse in every objective and better in one."""

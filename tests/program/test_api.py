@@ -79,3 +79,8 @@ def test_timeshared_schedule_threads_through():
         program=_program(), schedule="timeshared", emit=False
     )
     assert result.design.schedule == "timeshared"
+
+
+def test_program_must_be_a_spec():
+    with pytest.raises(SpecificationError, match="get_program"):
+        synthesize(program="blur-sobel-threshold")

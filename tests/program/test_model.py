@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.dse.constraints import ResourceBudget
+from repro.dse.evaluator import CandidateEvaluator
+from repro.fpga.resources import VIRTEX7_690T
+from repro.model.batch import BatchRangeError
 from repro.model.predictor import Fidelity, PerformanceModel
 from repro.opencl.platform import ADM_PCIE_7V3
 from repro.program import (
     RECONFIGURATION_CYCLES,
+    SCHEDULES,
     ProgramDesign,
     ProgramEvaluator,
     blur_sobel_threshold,
+    fdtd_two_field,
     compose_cycles,
     compose_resources,
     forwardable_edges,
@@ -178,3 +184,88 @@ class TestBatchEngine:
         bounds = lower_bound_program_batch(designs)
         totals = predict_program_batch(designs).total
         assert np.all(bounds <= totals + 1e-9)
+
+
+def _mixed_batch():
+    """Both library programs under both schedules in one batch, plus
+    hand-built aligned and misaligned designs."""
+    designs = []
+    for program in (_program(), fdtd_two_field(grid=(32, 32), iterations=2)):
+        options = {
+            stage.name: stage_design_options(stage.spec)
+            for stage in program.stages
+        }
+        for schedule in SCHEDULES:
+            designs.extend(program_candidates(program, options, schedule))
+    program = _program()
+    designs += [
+        _aligned_design(program),
+        _misaligned_design(program),
+        _aligned_design(program, schedule="timeshared"),
+    ]
+    return designs
+
+
+class TestArrayCompositionParity:
+    """The batch engines equal the scalar composition oracle, bitwise."""
+
+    def test_cycles_bounds_and_resources(self):
+        designs = _mixed_batch()
+        engine = CandidateEvaluator()
+        memo = {}
+
+        def stage(design):
+            if id(design) not in memo:
+                memo[id(design)] = (
+                    engine.model.predict_cycles(design),
+                    engine.lower_bound(design),
+                    engine.estimator.estimate(design),
+                )
+            return memo[id(design)]
+
+        batch = predict_program_batch(designs)
+        bounds = lower_bound_program_batch(designs)
+        credited = spilled = 0
+        for i, design in enumerate(designs):
+            numbers = [stage(d) for _n, d in design.stage_designs]
+            cycles = compose_cycles(design, [n[0] for n in numbers])
+            bound = program_lower_bound(design, [n[1] for n in numbers])
+            resources = compose_resources(
+                design.schedule, [n[2] for n in numbers]
+            )
+            assert float(batch.total[i]).hex() == cycles.hex()
+            assert float(bounds[i]).hex() == bound.hex()
+            assert batch.resources[i] == resources
+            assert [c.hex() for c in batch.stage_cycles[i]] == [
+                n[0].hex() for n in numbers
+            ]
+            if design.schedule == "coresident":
+                forwarded = len(forwardable_edges(design))
+                credited += forwarded > 0
+                spilled += forwarded < len(design.program.edges)
+        assert credited and spilled
+
+    def test_out_of_range_stages_take_the_scalar_engines(self, monkeypatch):
+        designs = _mixed_batch()
+        budget = ResourceBudget.from_device(VIRTEX7_690T)
+        batch = ProgramEvaluator()
+        arrays = batch.screen_batch(designs, budget)
+        scored = batch.evaluate_batch(designs, budget)
+
+        def out_of_range(*_args, **_kwargs):
+            raise BatchRangeError("forced")
+
+        from repro.dse import evaluator as evaluator_module
+
+        for name in ("predict_batch", "estimate_batch", "lower_bound_batch"):
+            monkeypatch.setattr(evaluator_module, name, out_of_range)
+        scalar = ProgramEvaluator()
+        assert scalar.screen_batch(designs, budget) == arrays
+        fallback = scalar.evaluate_batch(designs, budget)
+        assert [
+            (r.predicted_cycles.hex(), r.resources) if r else None
+            for r in fallback
+        ] == [
+            (r.predicted_cycles.hex(), r.resources) if r else None
+            for r in scored
+        ]

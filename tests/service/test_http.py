@@ -134,6 +134,22 @@ class TestRoutes:
             {"benchmark": "jacobi-2d", "name": 3},
             {"benchmark": "jacobi-2d", "aux": "power"},
             {"benchmark": "jacobi-2d", "field_map": [1, 2]},
+            {"benchmark": "jacobi-2d", "timeout_s": True},
+            {"benchmark": "jacobi-2d", "timeout_s": "5"},
+            {"benchmark": "jacobi-2d", "priority": True},
+            {"benchmark": "jacobi-2d", "priority": "7"},
+            {"benchmark": "jacobi-2d", "priority": 2.7},
+            {"benchmark": "jacobi-2d", "grid_shape": [64]},
+            {"benchmark": "jacobi-2d", "tile_shape": [4, 4, 4, 4]},
+            {"benchmark": "jacobi-2d", "counts": [2]},
+            {"source": "B[i] = A[i];", "grid_shape": [64],
+             "iterations": 2, "tile_shape": [8, 8]},
+            {"program": "fdtd-two-field", "grid_shape": [64]},
+            {"program": "fdtd-two-field", "tile_shape": [8, 8]},
+            {"program": "fdtd-two-field", "counts": [2, 2]},
+            {"program": "fdtd-two-field", "fused_depth": 2},
+            {"program": "fdtd-two-field", "unroll": 2},
+            {"program": "fdtd-two-field", "design": "baseline"},
         ],
         ids=lambda payload: json.dumps(payload, sort_keys=True),
     )

@@ -17,6 +17,7 @@ import pytest
 from repro import obs
 from repro.errors import BackendUnavailable
 from repro.sim import jit
+from repro.sim.jit import backend as jit_backend
 from repro.sim.functional import FunctionalExecutor, run_functional
 from repro.stencil import jacobi_2d, run_reference
 from repro.tiling import make_baseline_design
@@ -133,6 +134,13 @@ class TestKernelCache:
         jit.clear_memo()
         jit.get_kernel(design)
         assert counters()["sim.jit.compiles"] == 2
+
+    def test_clear_memo_closes_the_cache_journal(self, design):
+        jit.get_kernel(design)  # the build record opens the journal
+        handle = jit_backend._disk_cache()._index()._handle
+        assert not handle.closed
+        jit.clear_memo()
+        assert handle.closed
 
     def test_key_invalidation_axes(self):
         base = dict(
