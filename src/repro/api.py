@@ -208,7 +208,8 @@ def _synthesize_program(
         )
         if engine.stage_engine is evaluator:
             # The caller's engine (a service's, say) counts this
-            # search's work too; the program.* metrics are published.
+            # search's work too; the program engine already published
+            # it under dse.*.
             evaluator.absorb_stats(dse.stats, publish=False)
         best = dse.best
         pipeline = generate_program_pipeline(best.design) if emit else None

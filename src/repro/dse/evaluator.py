@@ -7,10 +7,11 @@ the single path from a candidate :class:`StencilDesign` to its scored
 the sensitivity sweeps, the Pareto utilities, the experiment CLI, and
 the benchmarks.  Every entry point runs the same four steps:
 
-1. **Memo** — results are cached under the design's canonical
-   signature (:meth:`~repro.tiling.design.StencilDesign.signature`);
-   designs recur across the baseline/pipe-shared/heterogeneous sweeps
-   and across repeated experiment runs, and equal signatures guarantee
+1. **Memo** — results are cached under the design's key, its
+   canonical signature
+   (:meth:`~repro.tiling.design.StencilDesign.signature`); designs
+   recur across the baseline/pipe-shared/heterogeneous sweeps and
+   across repeated experiment runs, and equal signatures guarantee
    equal results.  It is the engine's only cache, optionally
    LRU-bounded.
 2. **Store** — with a :class:`~repro.store.backing.BackingStore`
@@ -27,6 +28,14 @@ the benchmarks.  Every entry point runs the same four steps:
 
 Every run emits an :class:`EvaluationStats` record and can stream
 per-candidate :class:`CandidateTrace` events to an observer hook.
+
+:class:`~repro.program.evaluator.ProgramEvaluator` runs program
+candidates through this same path: it overrides only the key
+(:meth:`CandidateEvaluator._key`), the scoring hooks
+(:meth:`~CandidateEvaluator._score`,
+:meth:`~CandidateEvaluator._estimate`,
+:meth:`~CandidateEvaluator._bounds`) and
+:meth:`~CandidateEvaluator.lower_bound`.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.dse.constraints import ResourceBudget
@@ -246,7 +255,7 @@ class CandidateEvaluator:
         )
         #: Lifetime aggregate over every evaluate/explore call.
         self.stats = EvaluationStats()
-        self._results: "OrderedDict[Tuple, EvaluatedDesign]" = OrderedDict()
+        self._results: "OrderedDict[Hashable, EvaluatedDesign]" = OrderedDict()
         self._lock = threading.Lock()
         self._emit_seq = 0
 
@@ -271,26 +280,30 @@ class CandidateEvaluator:
             design, self.store_context, cycles=cycles, resources=resources
         )
 
-    def _memo_get(self, sig: Tuple) -> Optional[EvaluatedDesign]:
+    def _key(self, design: StencilDesign) -> Hashable:
+        """The memo key of a design: its canonical signature."""
+        return design.signature()
+
+    def _memo_get(self, key: Hashable) -> Optional[EvaluatedDesign]:
         """LRU-aware memo read (call under ``self._lock``)."""
-        result = self._results.get(sig)
+        result = self._results.get(key)
         if result is not None and self.max_memo_entries is not None:
-            self._results.move_to_end(sig)
+            self._results.move_to_end(key)
         return result
 
     def _memo_put(
-        self, sig: Tuple, result: EvaluatedDesign
+        self, key: Hashable, result: EvaluatedDesign
     ) -> EvaluatedDesign:
         """LRU-aware memo insert (call under ``self._lock``).
 
-        Returns the canonical result object for the signature: another
+        Returns the canonical result object for the key: another
         thread may have stored one first, in which case its object is
-        kept (same signature → same values).
+        kept (same key → same values).
         """
-        existing = self._results.get(sig)
+        existing = self._results.get(key)
         if existing is not None:
             return existing
-        self._results[sig] = result
+        self._results[key] = result
         if (
             self.max_memo_entries is not None
             and len(self._results) > self.max_memo_entries
@@ -366,28 +379,29 @@ class CandidateEvaluator:
     ) -> List[Optional[EvaluatedDesign]]:
         """Memo, then store, then one :meth:`_score` call, then epilogue.
 
-        Each distinct signature is resolved once, up front; the memo
-        answers captured here stay valid for the whole batch even if
-        the LRU bound evicts them meanwhile.  ``budget=None`` skips the
-        budget check (the :meth:`predict_cycles` / :meth:`resources`
-        lookups).  ``resources`` (aligned with ``candidates``) spares
-        the fresh designs the resource estimator.
+        Each candidate's :meth:`_key` is computed once, and each
+        distinct key is resolved once, up front; the memo answers
+        captured here stay valid for the whole batch even if the LRU
+        bound evicts them meanwhile.  ``budget=None`` skips the budget
+        check (the :meth:`predict_cycles` / :meth:`resources` lookups).
+        ``resources`` (aligned with ``candidates``) spares the fresh
+        designs the resource estimator.
         """
-        known: Dict[Tuple, EvaluatedDesign] = {}
-        stored: Dict[Tuple, Optional[StoredResult]] = {}
-        fresh: Dict[Tuple, int] = {}  # signature -> first position
-        for j, design in enumerate(candidates):
-            sig = design.signature()
-            if sig in known or sig in stored:
+        keys = [self._key(design) for design in candidates]
+        known: Dict[Hashable, EvaluatedDesign] = {}
+        stored: Dict[Hashable, Optional[StoredResult]] = {}
+        fresh: Dict[Hashable, int] = {}  # key -> first position
+        for j, key in enumerate(keys):
+            if key in known or key in stored:
                 continue
             with self._lock:
-                cached = self._memo_get(sig)
+                cached = self._memo_get(key)
             if cached is not None:
-                known[sig] = cached
+                known[key] = cached
                 continue
-            entry = stored[sig] = self._store_lookup(design)
+            entry = stored[key] = self._store_lookup(candidates[j])
             if entry is None or not entry.complete:
-                fresh[sig] = j
+                fresh[key] = j
         first = list(fresh.values())
         known_resources = (
             None if resources is None else [resources[j] for j in first]
@@ -399,41 +413,42 @@ class CandidateEvaluator:
             )
         )
         return [
-            self._finish(design, budget, stats, known, stored, scored)
-            for design in candidates
+            self._finish(design, key, budget, stats, known, stored, scored)
+            for design, key in zip(candidates, keys)
         ]
 
     def _finish(
         self,
         design: StencilDesign,
+        key: Hashable,
         budget: Optional[ResourceBudget],
         stats: EvaluationStats,
-        known: Dict[Tuple, EvaluatedDesign],
-        stored: Dict[Tuple, Optional[StoredResult]],
-        scored: Dict[Tuple, Tuple[float, DesignResources]],
+        known: Dict[Hashable, EvaluatedDesign],
+        stored: Dict[Hashable, Optional[StoredResult]],
+        scored: Dict[Hashable, Tuple[float, DesignResources]],
     ) -> Optional[EvaluatedDesign]:
         """Per-candidate epilogue: budget check, stats, trace, store.
 
         A fresh result that fails the budget is written through
         (resources only) but not memoized; every other result enters
         the memo, and ``known``, so repeats later in the batch are
-        cache hits.
+        cache hits.  A stored entry holding resources only (an earlier
+        infeasible verdict) is reused, not rewritten.
         """
         stats.candidates += 1
-        sig = design.signature()
-        result = known.get(sig)
+        result = known.get(key)
         if result is not None:
             stats.cache_hits += 1
             return self._admit(design, result, "cache-hit", budget, stats)
-        entry = stored.get(sig) or _NOT_STORED
+        entry = stored.get(key) or _NOT_STORED
         if entry.complete:
             stats.store_hits += 1
             result = self._remember(
-                sig, EvaluatedDesign(design, entry.cycles, entry.resources),
+                key, EvaluatedDesign(design, entry.cycles, entry.resources),
                 known,
             )
             return self._admit(design, result, "store-hit", budget, stats)
-        cycles, resources = scored[sig]
+        cycles, resources = scored[key]
         new_resources = entry.resources is None
         if not new_resources:
             resources = entry.resources
@@ -452,20 +467,20 @@ class CandidateEvaluator:
             if new_resources:
                 self._store_record(design, resources=resources)
         result = self._remember(
-            sig, EvaluatedDesign(design, cycles, resources), known
+            key, EvaluatedDesign(design, cycles, resources), known
         )
         self._emit(design, "evaluated", cycles)
         return result
 
     def _remember(
         self,
-        sig: Tuple,
+        key: Hashable,
         result: EvaluatedDesign,
-        known: Dict[Tuple, EvaluatedDesign],
+        known: Dict[Hashable, EvaluatedDesign],
     ) -> EvaluatedDesign:
         with self._lock:
-            result = self._memo_put(sig, result)
-        known[sig] = result
+            result = self._memo_put(key, result)
+        known[key] = result
         return result
 
     def _admit(
@@ -624,6 +639,15 @@ class CandidateEvaluator:
         space leaves the memo untouched, so peak residency stays
         O(chunk), not O(space).
         """
+        return self._screen_batch(candidates, budget)
+
+    def _screen_batch(
+        self,
+        candidates: Sequence[StencilDesign],
+        budget: ResourceBudget,
+    ) -> Tuple[List[bool], List[float], List[DesignResources]]:
+        """:meth:`screen_batch`'s body, over the :meth:`_estimate` and
+        :meth:`_bounds` hooks."""
         candidates = list(candidates)
         if not candidates:
             return [], [], []
@@ -648,12 +672,23 @@ class CandidateEvaluator:
         aligned with ``candidates``); memo and store answers still
         take precedence.
         """
+        return self._evaluate_batch(
+            "dse.evaluate_batch", candidates, budget, stats, resources
+        )
+
+    def _evaluate_batch(
+        self,
+        span: str,
+        candidates: Sequence[StencilDesign],
+        budget: ResourceBudget,
+        stats: Optional[EvaluationStats],
+        resources: Optional[Sequence[DesignResources]],
+    ) -> List[Optional[EvaluatedDesign]]:
+        """:meth:`evaluate_batch`'s body, under the span ``span``."""
         delta = EvaluationStats()
         start = time.perf_counter()
         with obs.span(
-            "dse.evaluate_batch",
-            candidates=len(candidates),
-            budget=budget.label,
+            span, candidates=len(candidates), budget=budget.label
         ):
             results = self._run_batch(candidates, budget, delta, resources)
         delta.wall_time_s = time.perf_counter() - start
@@ -677,13 +712,20 @@ class CandidateEvaluator:
         by predicted cycles (stable, so equal-latency designs keep
         their input order and the first one wins).
         """
+        return self._explore("dse.explore", candidates, budget)
+
+    def _explore(
+        self,
+        span: str,
+        candidates: Sequence[StencilDesign],
+        budget: ResourceBudget,
+    ) -> DSEResult:
+        """:meth:`explore`'s body, under the span ``span``."""
         candidates = list(candidates)
         stats = EvaluationStats()
         start = time.perf_counter()
         with obs.span(
-            "dse.explore",
-            candidates=len(candidates),
-            budget=budget.label,
+            span, candidates=len(candidates), budget=budget.label
         ) as explore_span:
             results = self._run_batch(candidates, budget, stats)
             feasible = [r for r in results if r is not None]

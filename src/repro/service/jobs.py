@@ -49,14 +49,21 @@ _CONTENT_FIELDS = (
 )
 #: Scheduling-only fields accepted alongside the content fields.
 _SCHED_FIELDS = ("priority", "timeout_s")
-#: Content fields a program job ignores, with their defaults: any
-#: other value would only split the dedup signature of equal programs.
-_STENCIL_ONLY_DEFAULTS = {
-    "tile_shape": None,
-    "counts": None,
-    "fused_depth": None,
-    "unroll": 1,
-    "design": "heterogeneous",
+#: Content fields a job kind ignores, with their defaults as
+#: :meth:`JobRequest.content` renders them: any other value would only
+#: split the dedup signature of equal jobs.
+_SOURCE_ONLY = {"name": "user-stencil", "field_map": None, "aux": []}
+_IGNORED_DEFAULTS = {
+    "benchmark": {"schedule": "coresident", **_SOURCE_ONLY},
+    "source": {"schedule": "coresident"},
+    "program": {
+        **_SOURCE_ONLY,
+        "tile_shape": None,
+        "counts": None,
+        "fused_depth": None,
+        "unroll": 1,
+        "design": "heterogeneous",
+    },
 }
 
 
@@ -232,11 +239,13 @@ class JobRequest:
         ``timeout_s`` that is not a positive finite number,
         ``grid_shape``/``tile_shape``/``counts`` whose length is not
         the workload's dimension count (a ``source`` job's is its
-        ``grid_shape``'s), and a ``program`` job setting a
-        single-stencil field it would ignore (``tile_shape``,
-        ``counts``, ``fused_depth``, ``unroll``, ``design``) to
+        ``grid_shape``'s), and a field the job's kind ignores set to
         anything but its default, which would split the dedup
-        signature of identical programs.
+        signature of identical jobs: ``schedule`` on a ``benchmark``
+        or ``source`` job, ``name``/``field_map``/``aux`` on a
+        ``benchmark`` or ``program`` job, and the single-stencil
+        fields (``tile_shape``, ``counts``, ``fused_depth``,
+        ``unroll``, ``design``) on a ``program`` job.
         """
         if not isinstance(payload, dict):
             raise ServiceError("job payload must be a JSON object")
@@ -256,16 +265,6 @@ class JobRequest:
             raise ServiceError(
                 "a 'source' job needs 'grid_shape' and 'iterations'"
             )
-        if payload.get("program") is not None:
-            ignored = [
-                key
-                for key, default in _STENCIL_ONLY_DEFAULTS.items()
-                if payload.get(key, default) != default
-            ]
-            if ignored:
-                raise ServiceError(
-                    f"a 'program' job takes no {', '.join(ignored)}"
-                )
         try:
             request = cls(
                 benchmark=_known(
@@ -297,6 +296,19 @@ class JobRequest:
             )
         except (TypeError, ValueError) as exc:
             raise ServiceError(f"malformed job payload: {exc}") from exc
+        kind = next(
+            k for k in _IGNORED_DEFAULTS if getattr(request, k) is not None
+        )
+        content = request.content()
+        ignored = [
+            key
+            for key, default in _IGNORED_DEFAULTS[kind].items()
+            if content[key] != default
+        ]
+        if ignored:
+            raise ServiceError(
+                f"a '{kind}' job takes no {', '.join(ignored)}"
+            )
         if request.source is not None:
             ndim = len(request.grid_shape)
         else:

@@ -4,7 +4,6 @@ Layout (under ``$REPRO_JIT_CACHE`` or ``~/.cache/repro/jit``)::
 
     <key>.c        generated C source (kept for debuggability)
     <key>.so       compiled shared object
-    index.jsonl    crash-safe journal of build records
 
 ``<key>`` is the SHA-256 digest of everything that shapes the emitted
 machine code: the design signature, the spec signature, the dtype, the
@@ -15,11 +14,9 @@ cleaned with :meth:`KernelCache.clear`.
 
 Placement is atomic (temp file + ``os.replace`` in the same
 directory), so concurrent processes racing to build the same kernel
-both succeed and one of the two identical objects wins.  The index
-reuses the store's :class:`~repro.store.journal.Journal`, inheriting
-its torn-tail recovery; a valid ``.so`` whose index record was lost
-is still served (the file is the source of truth, the journal is
-metadata for inspection).
+both succeed and one of the two identical objects wins.  Build counts
+and times go to the ``sim.jit.compiles`` / ``sim.jit.compile_s``
+metrics.
 """
 
 from __future__ import annotations
@@ -31,10 +28,8 @@ import time
 from typing import Optional, Union
 
 from repro import obs
-from repro.errors import StoreError
 from repro.sim.jit.compile import CompilerInfo, compile_shared_object
 from repro.store.backing import digest
-from repro.store.journal import Journal
 
 PathLike = Union[str, pathlib.Path]
 
@@ -76,7 +71,6 @@ class KernelCache:
 
     def __init__(self, root: Optional[PathLike] = None):
         self.root = pathlib.Path(root) if root else default_cache_dir()
-        self._journal: Optional[Journal] = None
 
     # -- paths ---------------------------------------------------------------
 
@@ -85,19 +79,6 @@ class KernelCache:
 
     def source_path(self, key: str) -> pathlib.Path:
         return self.root / f"{key}.c"
-
-    # -- journal -------------------------------------------------------------
-
-    def _index(self) -> Optional[Journal]:
-        """The build-record journal (best-effort: never fatal)."""
-        if self._journal is None:
-            try:
-                self._journal = Journal(
-                    self.root / "index.jsonl", sync="never"
-                )
-            except StoreError:
-                return None
-        return self._journal
 
     # -- lookup / build ------------------------------------------------------
 
@@ -141,19 +122,6 @@ class KernelCache:
         elapsed = time.perf_counter() - started
         obs.inc("sim.jit.compiles")
         obs.observe("sim.jit.compile_s", elapsed)
-        index = self._index()
-        if index is not None:
-            try:
-                index.append(
-                    {
-                        "key": key,
-                        "compiler": compiler.version,
-                        "compile_s": round(elapsed, 6),
-                        "bytes": target.stat().st_size,
-                    }
-                )
-            except (StoreError, OSError):  # pragma: no cover - best effort
-                pass
         _log.debug("built jit kernel %s in %.3fs", key[:12], elapsed)
         return target
 
@@ -166,20 +134,13 @@ class KernelCache:
             return hit
         return self.build(key, source, compiler)
 
-    def close(self) -> None:
-        """Release the build-record journal's handle (reopened on use)."""
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-
     def clear(self) -> int:
         """Delete every cached artifact; returns the number removed."""
-        self.close()
         removed = 0
         if not self.root.exists():
             return removed
         for entry in self.root.iterdir():
-            if entry.suffix in (".so", ".c") or entry.name == "index.jsonl":
+            if entry.suffix in (".so", ".c"):
                 try:
                     entry.unlink()
                     removed += 1

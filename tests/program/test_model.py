@@ -133,6 +133,9 @@ class TestComposition:
         assert program_lower_bound(design, stage_bounds) <= compose_cycles(
             design, stage_preds
         )
+        assert engine.lower_bound(design) == program_lower_bound(
+            design, stage_bounds
+        )
 
 
 class TestBatchEngine:

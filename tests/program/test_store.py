@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.dse.constraints import ResourceBudget
-from repro.fpga.resources import VIRTEX7_690T
+from repro.dse.evaluator import CandidateEvaluator
+from repro.fpga.resources import VIRTEX7_690T, ResourceVector
 from repro.program import (
     ProgramEvaluator,
     blur_sobel_threshold,
@@ -82,6 +83,35 @@ def test_memo_hits_on_reevaluation():
     assert engine.cache_size() == 0
 
 
+def test_memo_honours_the_stage_engines_bound():
+    designs = _designs(20)
+    budget = ResourceBudget.from_device(VIRTEX7_690T)
+    engine = ProgramEvaluator(
+        stage_engine=CandidateEvaluator(max_memo_entries=8)
+    )
+    first = engine.evaluate_batch(designs, budget)
+    assert engine.cache_size() == 8
+    # The evicted programs re-score to the same numbers.
+    again = engine.evaluate_batch(designs, budget)
+    assert engine.cache_size() == 8
+    assert [r.predicted_cycles for r in again] == [
+        r.predicted_cycles for r in first
+    ]
+
+
+def test_single_design_lookups_use_the_memo():
+    [design] = _designs(1)
+    engine = ProgramEvaluator()
+    cycles = engine.predict_cycles(design)
+    assert engine.stats.candidates == 1 and engine.stats.evaluated == 1
+    assert engine.predict_cycles(design) == cycles
+    assert engine.resources(design) is engine.resources(design)
+    assert engine.stats.candidates == 4 and engine.stats.cache_hits == 3
+    budget = ResourceBudget.from_device(VIRTEX7_690T)
+    [result] = engine.evaluate_batch([design], budget)
+    assert result.predicted_cycles == cycles
+
+
 class _CountingStore(DesignStore):
     """A design store that counts lookups and writes, by design kind."""
 
@@ -139,3 +169,16 @@ def test_program_search_store_traffic(
         assert store.calls["lookup"] == ["ProgramDesign"] * candidates
         assert store.calls["record"] == ["ProgramDesign"] * candidates
         assert store.writes == candidates
+
+
+def test_infeasible_programs_are_written_once(tmp_path):
+    """An entry stored with resources only is reused, not rewritten."""
+    designs = _designs(20)
+    nothing = ResourceBudget(ResourceVector(0, 0, 0, 0), label="nothing")
+    with _CountingStore(tmp_path / "store") as store:
+        for _ in range(2):
+            engine = ProgramEvaluator(store=store)
+            assert engine.evaluate_batch(designs, nothing) == [None] * 20
+            assert engine.stats.infeasible == 20
+        assert store.calls["lookup"] == ["ProgramDesign"] * 40
+        assert store.calls["record"] == ["ProgramDesign"] * 20

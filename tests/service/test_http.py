@@ -150,6 +150,15 @@ class TestRoutes:
             {"program": "fdtd-two-field", "fused_depth": 2},
             {"program": "fdtd-two-field", "unroll": 2},
             {"program": "fdtd-two-field", "design": "baseline"},
+            {"benchmark": "jacobi-2d", "name": "x"},
+            {"benchmark": "jacobi-2d", "field_map": {"B": "A"}},
+            {"benchmark": "jacobi-2d", "aux": ["q"]},
+            {"benchmark": "jacobi-2d", "schedule": "timeshared"},
+            {"program": "fdtd-two-field", "name": "x"},
+            {"program": "fdtd-two-field", "field_map": {"B": "A"}},
+            {"program": "fdtd-two-field", "aux": ["q"]},
+            {"source": "B[i] = A[i];", "grid_shape": [64],
+             "iterations": 2, "schedule": "timeshared"},
         ],
         ids=lambda payload: json.dumps(payload, sort_keys=True),
     )

@@ -60,6 +60,19 @@ class TestJobRequestValidation:
         rebuilt = JobRequest.from_json(request.as_dict())
         assert rebuilt.signature() == request.signature()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"program": "fdtd-two-field", "schedule": "timeshared"},
+            {"source": "B[i] = A[i];", "name": "copy",
+             "field_map": {"B": "A"}, "grid_shape": [64], "iterations": 2},
+        ],
+    )
+    def test_defaults_of_ignored_fields_round_trip(self, payload):
+        request = JobRequest.from_json(payload)
+        rebuilt = JobRequest.from_json(request.as_dict())
+        assert rebuilt.signature() == request.signature()
+
 
 class TestSignatures:
     def test_identical_content_identical_signature(self):
