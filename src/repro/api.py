@@ -198,7 +198,7 @@ def _synthesize_program(
         elif evaluator is not None:
             engine = ProgramEvaluator(stage_engine=evaluator)
         else:
-            engine = ProgramEvaluator(board=board)
+            engine = ProgramEvaluator(CandidateEvaluator(board=board))
         dse = optimize_program(
             program,
             board=engine.board,

@@ -612,7 +612,6 @@ class CandidateEvaluator:
             obs.inc("search.screened", delta.screened)
             obs.inc("search.promoted", delta.promoted)
             obs.observe("dse.batch_wall_s", delta.wall_time_s)
-            obs.set_gauge("dse.cache_size", self.cache_size())
 
     # -- tier-0 screening (the tiered search's vectorized gate) ----------------
 

@@ -262,18 +262,33 @@ def _cmd_codegen(args, session: _StoreSession) -> List[str]:
     ]
 
 
+def _program_spec(args, parser: argparse.ArgumentParser):
+    """The program 'program' names, with its overrides; a bad
+    ``--program``, ``--grid`` or ``--iterations`` is a usage error."""
+    from repro.errors import SpecificationError
+    from repro.program.library import PROGRAM_BENCHMARKS, get_program
+
+    if args.program not in PROGRAM_BENCHMARKS:
+        parser.error(
+            f"unknown --program {args.program!r}; choose from: "
+            f"{', '.join(PROGRAM_BENCHMARKS)}"
+        )
+    if args.iterations is not None and args.iterations < 1:
+        parser.error(f"--iterations must be positive, got {args.iterations}")
+    try:
+        grid = args.grid and tuple(int(v) for v in args.grid.split("x"))
+        return get_program(args.program, grid=grid, iterations=args.iterations)
+    except (ValueError, SpecificationError) as exc:
+        # The name and iteration count passed above; the grid did not.
+        parser.error(f"invalid --grid {args.grid!r}: {exc}")
+
+
 def _cmd_program(args, session: _StoreSession) -> List[str]:
     """Synthesize a multi-stage program benchmark end to end."""
     from repro.api import synthesize
     from repro.program.evaluator import ProgramEvaluator
-    from repro.program.library import get_program
 
-    grid = (
-        tuple(int(v) for v in args.grid.split("x")) if args.grid else None
-    )
-    program = get_program(
-        args.program, grid=grid, iterations=args.iterations
-    )
+    program = args.program_spec
     engine = ProgramEvaluator(stage_engine=session.evaluator())
     driver = session.driver(args, engine)
     synth = synthesize(
@@ -721,6 +736,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{args.experiment}; choose from: "
             f"{', '.join(TABLE3_CONFIGS)}"
         )
+    if args.experiment == "program":
+        args.program_spec = _program_spec(args, parser)
 
     if args.log_level is not None:
         obs.configure_logging(level=args.log_level)

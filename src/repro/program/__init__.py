@@ -47,9 +47,9 @@ from repro.program.sim import (
 )
 from repro.program.model import (
     RECONFIGURATION_CYCLES,
-    ProgramBatchPrediction,
     compose_cycles,
     compose_resources,
+    estimate_program_batch,
     forwardable_edges,
     forwarding_savings,
     lower_bound_program_batch,
@@ -82,9 +82,9 @@ __all__ = [
     "run_program_functional",
     "run_program_reference",
     "RECONFIGURATION_CYCLES",
-    "ProgramBatchPrediction",
     "compose_cycles",
     "compose_resources",
+    "estimate_program_batch",
     "forwardable_edges",
     "forwarding_savings",
     "lower_bound_program_batch",

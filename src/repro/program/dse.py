@@ -23,7 +23,7 @@ import itertools
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.dse.constraints import ResourceBudget
-from repro.dse.evaluator import DSEResult, EvaluatedDesign
+from repro.dse.evaluator import CandidateEvaluator, DSEResult, EvaluatedDesign
 from repro.dse.optimizer import full_space_candidates
 from repro.dse.search import SearchDriver
 from repro.errors import DesignSpaceError
@@ -127,7 +127,7 @@ def _resolve_program_evaluator(
         return engine
     if evaluator is not None:
         return evaluator
-    return ProgramEvaluator(board=board)
+    return ProgramEvaluator(CandidateEvaluator(board=board))
 
 
 def optimize_program(
@@ -226,7 +226,7 @@ def optimize_stages_independently(
         (``None`` when the greedy composition violates the shared
         budget) and each stage's own :class:`DSEResult`.
     """
-    engine = evaluator or ProgramEvaluator(board=board)
+    engine = evaluator or ProgramEvaluator(CandidateEvaluator(board=board))
     if budget is None:
         budget = ResourceBudget.from_device(device)
     per_stage: Dict[str, DSEResult] = {}

@@ -2,18 +2,20 @@
 
 :class:`ProgramEvaluator` is a
 :class:`~repro.dse.evaluator.CandidateEvaluator` over
-:class:`~repro.program.design.ProgramDesign` candidates.  It supplies
-only what is program-specific:
+:class:`~repro.program.design.ProgramDesign` candidates, configured
+entirely by one stage engine.  It supplies only what is
+program-specific:
 
 - the memo key: a program design's store key, which it hashes once
   from cached stage encodings;
 - batch scoring, the composed Tier-0 resources and the composed bound,
   through the program batch engines of :mod:`repro.program.model`
   (:func:`~repro.program.model.predict_program_batch`,
-  :func:`~repro.program.model.lower_bound_program_batch`): each
-  distinct stage design is scored once, by the same scoring functions
-  the stage engine uses, and every candidate is composed with array
-  operations.
+  :func:`~repro.program.model.estimate_program_batch`,
+  :func:`~repro.program.model.lower_bound_program_batch`): the stage
+  engine scores each distinct stage design once, with its own batch
+  engines and scalar fallback, and every candidate is composed with
+  array operations.
 
 Memo, store lookup and write-through, budget check, stats, trace
 events, ``explore`` and cache management are the stencil engine's, so
@@ -33,50 +35,38 @@ from repro.dse.evaluator import (
     EvaluationStats,
 )
 from repro.fpga.estimator import DesignResources
-from repro.model.predictor import Fidelity
-from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.program.design import ProgramDesign
 from repro.program.model import (
-    ProgramBatchPrediction,
+    estimate_program_batch,
     lower_bound_program_batch,
     predict_program_batch,
 )
-from repro.store.backing import BackingStore, store_key
+from repro.store.backing import store_key
 
 
 class ProgramEvaluator(CandidateEvaluator):
     """Cached, store-backed scorer for :class:`ProgramDesign` candidates.
 
     Args:
-        board: platform the stage models evaluate against (ignored
-            when ``stage_engine`` is given — the engine's board wins).
-        fidelity: analytical-model variant (same caveat).
-        stage_engine: the single-stencil evaluator whose board,
-            fidelity, FlexCL analyzer, per-candidate trace hook, store
-            and memo bound this engine takes; one is built when
-            omitted.  Passing the service's resident evaluator shares
-            all of them, its cancellation point included.
-        store: optional persistent backing store for *program-level*
-            entries; defaults to the stage engine's store, so one
-            store serves both granularities.
+        stage_engine: the single-stencil evaluator that scores every
+            stage design, and whose board, fidelity, FlexCL analyzer,
+            per-candidate trace hook, store and memo bound this engine
+            takes; a default one is built when omitted.  Passing the
+            service's resident evaluator shares all of them, its
+            cancellation point included.  Program entries sit in its
+            store beside single-stencil ones.
     """
 
-    def __init__(
-        self,
-        board: BoardSpec = ADM_PCIE_7V3,
-        fidelity: Fidelity = Fidelity.REFINED,
-        stage_engine: Optional[CandidateEvaluator] = None,
-        store: Optional[BackingStore] = None,
-    ):
+    def __init__(self, stage_engine: Optional[CandidateEvaluator] = None):
         if stage_engine is None:
-            stage_engine = CandidateEvaluator(board=board, fidelity=fidelity)
+            stage_engine = CandidateEvaluator()
         super().__init__(
             board=stage_engine.board,
             fidelity=stage_engine.fidelity,
             estimator=stage_engine.estimator,
             model=stage_engine.model,
             trace=stage_engine.trace,
-            store=store if store is not None else stage_engine.store,
+            store=stage_engine.store,
             max_memo_entries=stage_engine.max_memo_entries,
         )
         self.stage_engine = stage_engine
@@ -87,45 +77,31 @@ class ProgramEvaluator(CandidateEvaluator):
         """The design's store key under this engine's context."""
         return store_key(design, self.store_context)
 
-    def _predict_batch(
-        self, designs: Sequence[ProgramDesign]
-    ) -> ProgramBatchPrediction:
-        return predict_program_batch(
-            designs,
-            board=self.board,
-            fidelity=self.fidelity,
-            flexcl=self.model.estimator,
-        )
+    # Stage designs are scored by the stage engine's hooks, never by
+    # the ones this class inherits: the inherited ``_bounds`` falls
+    # back to ``self.lower_bound``, which here expects a program.
 
     def _score(
         self,
         designs: Sequence[ProgramDesign],
         resources: Optional[Sequence[DesignResources]] = None,
     ) -> List[Tuple[float, DesignResources]]:
-        """Composed ``(cycles, resources)`` per design, from one
-        :func:`~repro.program.model.predict_program_batch` pass; the
-        resources are composed only when not given."""
+        """Composed ``(cycles, resources)`` per design; the resources
+        are composed only when not given."""
         if not designs:
             return []
-        batch = self._predict_batch(designs)
-        if resources is None:
-            resources = batch.resources.rows()
-        return list(zip(batch.total.tolist(), resources))
+        return predict_program_batch(designs, self.stage_engine, resources)
 
     def _estimate(
         self, designs: Sequence[ProgramDesign]
     ) -> List[DesignResources]:
         """Composed resources per design (the Tier-0 screen's)."""
-        return self._predict_batch(designs).resources.rows()
+        return estimate_program_batch(designs, self.stage_engine).rows()
 
     def _bounds(self, designs: Sequence[ProgramDesign]) -> List[float]:
         """Admissible composed lower bound per design."""
-        return lower_bound_program_batch(
-            designs,
-            board=self.board,
-            fidelity=self.fidelity,
-            flexcl=self.model.estimator,
-        ).tolist()
+        bounds = lower_bound_program_batch(designs, self.stage_engine)
+        return bounds.tolist()
 
     def lower_bound(self, design: ProgramDesign) -> float:
         """Admissible composed lower bound (cycles) of one program."""

@@ -36,31 +36,31 @@ Tier-0 screen stays admissible for programs.
 
 The module also provides the program analogues of the batch engines,
 which the :class:`~repro.program.evaluator.ProgramEvaluator` scores
-with: :func:`predict_program_batch` and
-:func:`lower_bound_program_batch` score each *distinct* stage design
-of a batch once, then compose every candidate with array operations
-over per-candidate stage-index rows.  They match the scalar
-:func:`compose_cycles` / :func:`compose_resources` /
+with: :func:`predict_program_batch`, :func:`estimate_program_batch`
+and :func:`lower_bound_program_batch` have a stage engine (a
+:class:`~repro.dse.evaluator.CandidateEvaluator`) score each
+*distinct* stage design of a batch once, then compose every candidate
+with array operations over per-candidate stage-index rows.  They
+match the scalar :func:`compose_cycles` / :func:`compose_resources` /
 :func:`program_lower_bound`, which stay as their parity oracle, bitwise.
 """
 
 from __future__ import annotations
 
-import functools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dse.evaluator import CandidateEvaluator
 from repro.fpga.batch import BatchResources, ResourceColumns
 from repro.fpga.estimator import DesignResources
-from repro.fpga.flexcl import FlexCLEstimator
 from repro.fpga.resources import ResourceVector
-from repro.model.predictor import Fidelity, PerformanceModel
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.program.design import ProgramDesign
 from repro.program.spec import ProgramEdge, ProgramSpec
 from repro.tiling.design import StencilDesign
+
+if TYPE_CHECKING:
+    from repro.dse.evaluator import CandidateEvaluator
 
 _COMPONENTS = ("ff", "lut", "dsp", "bram18")
 
@@ -223,7 +223,7 @@ class _StageIndex:
         ]
 
     def compose(
-        self, stage_values: np.ndarray, board: BoardSpec
+        self, stage_values: Sequence[float], board: BoardSpec
     ) -> np.ndarray:
         """:func:`compose_cycles` of every candidate, bitwise.
 
@@ -235,6 +235,7 @@ class _StageIndex:
         :func:`forwardable_edges` lists the edge: its producer and
         consumer tile grids have equal region shapes and counts.
         """
+        stage_values = np.asarray(stage_values, dtype=np.float64)
         out = np.empty(self.size, dtype=np.float64)
         alignment = None
         for exemplar, positions, rows in self.groups:
@@ -314,103 +315,51 @@ class _StageIndex:
         )
 
 
-def _stage_engine(
-    board: BoardSpec, fidelity: Fidelity, flexcl: Optional[FlexCLEstimator]
-) -> CandidateEvaluator:
-    """Scores distinct stage designs: the batch engines, and the scalar
-    model and estimator for a batch outside their exact range."""
-    return CandidateEvaluator(
-        board=board,
-        fidelity=fidelity,
-        model=PerformanceModel(board, fidelity, flexcl or FlexCLEstimator()),
-    )
-
-
-class ProgramBatchPrediction:
-    """Composed per-candidate program predictions and resources.
-
-    ``total`` is composed when the batch is predicted; ``resources``
-    on first access, so a caller that already holds the composed
-    resources (the tiered search's Tier-1 holds Tier-0's) runs no
-    resource estimator.
-    """
-
-    def __init__(
-        self,
-        index: _StageIndex,
-        stage_totals: np.ndarray,
-        board: BoardSpec,
-        engine: CandidateEvaluator,
-    ):
-        self._index = index
-        self._stage_totals = stage_totals
-        self._engine = engine
-        #: Composed program latency per candidate (cycles).
-        self.total: np.ndarray = index.compose(stage_totals, board)
-
-    def __len__(self) -> int:
-        return len(self.total)
-
-    @property
-    def stage_cycles(self) -> Tuple[Tuple[float, ...], ...]:
-        """Per-candidate per-stage latencies, aligned with each
-        program's topological stage order."""
-        out: List[Tuple[float, ...]] = [()] * len(self.total)
-        for _exemplar, positions, rows in self._index.groups:
-            for i, row in zip(
-                positions.tolist(), self._stage_totals[rows].tolist()
-            ):
-                out[i] = tuple(row)
-        return tuple(out)
-
-    @functools.cached_property
-    def resources(self) -> BatchResources:
-        """Composed program resources per candidate, as columns;
-        ``resources[i]`` is candidate ``i``'s :class:`DesignResources`."""
-        index = self._index
-        return index.compose_resources(self._engine._estimate(index.stages))
-
-    def feasible(self, limit: ResourceVector) -> np.ndarray:
-        """Boolean mask: which programs fit within the shared budget."""
-        return self.resources.feasible(limit)
-
-
 def predict_program_batch(
     designs: Sequence[ProgramDesign],
-    board: BoardSpec = ADM_PCIE_7V3,
-    fidelity: Fidelity = Fidelity.REFINED,
-    flexcl: Optional[FlexCLEstimator] = None,
-) -> ProgramBatchPrediction:
-    """Predict composed latency + resources for a batch of programs.
+    engine: "CandidateEvaluator",
+    resources: Optional[Sequence[DesignResources]] = None,
+) -> List[Tuple[float, DesignResources]]:
+    """Composed ``(cycles, resources)`` per program, in order.
 
-    Scores each distinct stage design once, in one pass of the batch
-    model (its resources in one pass of the batch estimator, when
-    first read), then composes every candidate along its DAG under its
-    schedule with array operations over stage indices.  Entry ``i``
-    equals :func:`compose_cycles` / :func:`compose_resources` of
-    candidate ``i``'s stage numbers, bitwise; those scalar functions
-    are the oracle.  Stage designs outside the batch engines' exact
-    range are scored by the scalar model and estimator — same numbers.
+    ``engine`` scores each distinct stage design once (its batch
+    engines, scalar out of their exact range); every candidate is then
+    composed with array operations over stage indices, bitwise equal
+    to :func:`compose_cycles` / :func:`compose_resources` of its stage
+    numbers.  ``resources`` already in hand (the tiered search's
+    Tier-1 holds Tier-0's) are returned as given: no stage is
+    estimated.
     """
-    index = _StageIndex(list(designs))
-    engine = _stage_engine(board, fidelity, flexcl)
-    stage_totals = np.asarray(engine._predict(index.stages), dtype=np.float64)
-    return ProgramBatchPrediction(index, stage_totals, board, engine)
+    index = _StageIndex(designs)
+    cycles = index.compose(engine._predict(index.stages), engine.board)
+    if resources is None:
+        resources = index.compose_resources(
+            engine._estimate(index.stages)
+        ).rows()
+    return list(zip(cycles.tolist(), resources))
+
+
+def estimate_program_batch(
+    designs: Sequence[ProgramDesign], engine: "CandidateEvaluator"
+) -> BatchResources:
+    """Composed resources per program, as columns (the Tier-0 screen's).
+
+    ``engine`` estimates each distinct stage design once and predicts
+    no cycles; entry ``i`` equals :func:`compose_resources` of
+    candidate ``i``'s stage estimates.
+    """
+    index = _StageIndex(designs)
+    return index.compose_resources(engine._estimate(index.stages))
 
 
 def lower_bound_program_batch(
-    designs: Sequence[ProgramDesign],
-    board: BoardSpec = ADM_PCIE_7V3,
-    fidelity: Fidelity = Fidelity.REFINED,
-    flexcl: Optional[FlexCLEstimator] = None,
+    designs: Sequence[ProgramDesign], engine: "CandidateEvaluator"
 ) -> np.ndarray:
     """Admissible composed lower bounds for a batch of programs.
 
-    Each distinct stage design's bound comes from one pass of the
-    batch bound (the scalar bound out of its range); entry ``i``
+    ``engine`` bounds each distinct stage design once; entry ``i``
     equals :func:`program_lower_bound` of candidate ``i``'s stage
     bounds, bitwise.
     """
-    index = _StageIndex(list(designs))
-    bounds = _stage_engine(board, fidelity, flexcl)._bounds(index.stages)
-    return index.compose(np.asarray(bounds, dtype=np.float64), board)
+    index = _StageIndex(designs)
+    return index.compose(engine._bounds(index.stages), engine.board)

@@ -30,16 +30,7 @@ import pathlib
 import re
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
-
-try:  # pragma: no cover - version dispatch
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - py<3.8 has no Protocol
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
+from typing import Dict, Optional, Protocol, Union
 
 from repro import obs
 from repro.errors import StoreError
@@ -163,7 +154,6 @@ class StoredResult:
         return self.cycles is not None and self.resources is not None
 
 
-@runtime_checkable
 class BackingStore(Protocol):
     """What the evaluator needs from a persistent result store."""
 

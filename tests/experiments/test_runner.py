@@ -35,6 +35,25 @@ class TestCli:
         assert "'nope'" in err
         assert "jacobi-1d" in err and "fdtd-3d" in err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--program", "nope"],
+            ["--grid", "axb"],
+            ["--grid", "64"],
+            ["--grid", "64x0"],
+            ["--iterations", "0"],
+        ],
+    )
+    def test_bad_program_argument_is_a_usage_error(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["program", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert flags[0] in err and flags[1] in err
+        if flags[0] == "--program":
+            assert "blur-sobel-threshold" in err and "fdtd-two-field" in err
+
     def test_simulate_tool(self, capsys):
         assert main(["simulate", "--benchmark", "jacobi-1d"]) == 0
         out = capsys.readouterr().out

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
 from repro.dse.constraints import ResourceBudget
 from repro.dse.evaluator import CandidateEvaluator
+from repro.dse.search import SearchDriver
 from repro.fpga.resources import VIRTEX7_690T
 from repro.model.batch import BatchRangeError
 from repro.model.predictor import Fidelity, PerformanceModel
@@ -20,9 +23,11 @@ from repro.program import (
     fdtd_two_field,
     compose_cycles,
     compose_resources,
+    estimate_program_batch,
     forwardable_edges,
     forwarding_savings,
     lower_bound_program_batch,
+    optimize_program,
     predict_program_batch,
     program_candidates,
     program_lower_bound,
@@ -154,39 +159,44 @@ class TestBatchEngine:
 
     def test_batch_matches_scalar_composition(self):
         designs = self._candidates()
-        batch = predict_program_batch(designs)
+        scored = predict_program_batch(designs, CandidateEvaluator())
+        assert len(scored) == len(designs)
         model = PerformanceModel(
             board=ADM_PCIE_7V3, fidelity=Fidelity.REFINED
         )
-        for i, design in enumerate(designs):
+        for (cycles, _resources), design in zip(scored, designs):
             stage_cycles = [
                 model.predict_cycles(d)
                 for _n, d in design.stage_designs
             ]
-            assert batch.total[i] == pytest.approx(
+            assert cycles == pytest.approx(
                 compose_cycles(design, stage_cycles), rel=1e-12
-            )
-            assert batch.stage_cycles[i] == pytest.approx(
-                tuple(stage_cycles)
             )
 
     def test_batch_resources_and_feasibility(self):
         designs = self._candidates()
-        batch = predict_program_batch(designs)
+        stage_engine = CandidateEvaluator()
+        resources = estimate_program_batch(designs, stage_engine)
+        scored = predict_program_batch(designs, stage_engine)
         engine = ProgramEvaluator()
         limit = engine.resources(designs[0]).total.scaled(2.0)
-        mask = batch.feasible(limit)
+        mask = resources.feasible(limit)
         assert mask.dtype == bool and len(mask) == len(designs)
         for i, design in enumerate(designs):
-            assert batch.resources[i].as_dict() == engine.resources(
-                design
-            ).as_dict()
+            expected = engine.resources(design)
+            assert resources[i].as_dict() == expected.as_dict()
+            assert scored[i][1].as_dict() == expected.as_dict()
+            assert mask[i] == expected.total.fits_within(limit)
 
     def test_batch_lower_bounds_admissible(self):
         designs = self._candidates()
-        bounds = lower_bound_program_batch(designs)
-        totals = predict_program_batch(designs).total
-        assert np.all(bounds <= totals + 1e-9)
+        stage_engine = CandidateEvaluator()
+        bounds = lower_bound_program_batch(designs, stage_engine)
+        totals = [
+            cycles
+            for cycles, _r in predict_program_batch(designs, stage_engine)
+        ]
+        assert np.all(bounds <= np.asarray(totals) + 1e-9)
 
 
 def _mixed_batch():
@@ -209,44 +219,48 @@ def _mixed_batch():
     return designs
 
 
+def _assert_batch_equals_oracle(designs, engine):
+    """Every candidate's batch cycles, bound and resources equal the
+    scalar composition of its stage numbers, bitwise."""
+    memo = {}
+
+    def stage(design):
+        if id(design) not in memo:
+            memo[id(design)] = (
+                engine.model.predict_cycles(design),
+                engine.lower_bound(design),
+                engine.estimator.estimate(design),
+            )
+        return memo[id(design)]
+
+    scored = predict_program_batch(designs, engine)
+    estimated = estimate_program_batch(designs, engine)
+    bounds = lower_bound_program_batch(designs, engine)
+    assert len(scored) == len(estimated) == len(bounds) == len(designs)
+    credited = spilled = 0
+    for i, design in enumerate(designs):
+        numbers = [stage(d) for _n, d in design.stage_designs]
+        cycles = compose_cycles(design, [n[0] for n in numbers])
+        bound = program_lower_bound(design, [n[1] for n in numbers])
+        resources = compose_resources(
+            design.schedule, [n[2] for n in numbers]
+        )
+        assert scored[i][0].hex() == cycles.hex()
+        assert scored[i][1] == resources
+        assert estimated[i] == resources
+        assert float(bounds[i]).hex() == bound.hex()
+        if design.schedule == "coresident":
+            forwarded = len(forwardable_edges(design))
+            credited += forwarded > 0
+            spilled += forwarded < len(design.program.edges)
+    assert credited and spilled
+
+
 class TestArrayCompositionParity:
     """The batch engines equal the scalar composition oracle, bitwise."""
 
     def test_cycles_bounds_and_resources(self):
-        designs = _mixed_batch()
-        engine = CandidateEvaluator()
-        memo = {}
-
-        def stage(design):
-            if id(design) not in memo:
-                memo[id(design)] = (
-                    engine.model.predict_cycles(design),
-                    engine.lower_bound(design),
-                    engine.estimator.estimate(design),
-                )
-            return memo[id(design)]
-
-        batch = predict_program_batch(designs)
-        bounds = lower_bound_program_batch(designs)
-        credited = spilled = 0
-        for i, design in enumerate(designs):
-            numbers = [stage(d) for _n, d in design.stage_designs]
-            cycles = compose_cycles(design, [n[0] for n in numbers])
-            bound = program_lower_bound(design, [n[1] for n in numbers])
-            resources = compose_resources(
-                design.schedule, [n[2] for n in numbers]
-            )
-            assert float(batch.total[i]).hex() == cycles.hex()
-            assert float(bounds[i]).hex() == bound.hex()
-            assert batch.resources[i] == resources
-            assert [c.hex() for c in batch.stage_cycles[i]] == [
-                n[0].hex() for n in numbers
-            ]
-            if design.schedule == "coresident":
-                forwarded = len(forwardable_edges(design))
-                credited += forwarded > 0
-                spilled += forwarded < len(design.program.edges)
-        assert credited and spilled
+        _assert_batch_equals_oracle(_mixed_batch(), CandidateEvaluator())
 
     def test_out_of_range_stages_take_the_scalar_engines(self, monkeypatch):
         designs = _mixed_batch()
@@ -255,13 +269,22 @@ class TestArrayCompositionParity:
         arrays = batch.screen_batch(designs, budget)
         scored = batch.evaluate_batch(designs, budget)
 
-        def out_of_range(*_args, **_kwargs):
-            raise BatchRangeError("forced")
+        forced = set()
+
+        def out_of_range(name):
+            def refuse(*_args, **_kwargs):
+                forced.add(name)
+                raise BatchRangeError("forced")
+
+            return refuse
 
         from repro.dse import evaluator as evaluator_module
 
-        for name in ("predict_batch", "estimate_batch", "lower_bound_batch"):
-            monkeypatch.setattr(evaluator_module, name, out_of_range)
+        engines = {"predict_batch", "estimate_batch", "lower_bound_batch"}
+        for name in engines:
+            monkeypatch.setattr(evaluator_module, name, out_of_range(name))
+        _assert_batch_equals_oracle(designs, CandidateEvaluator())
+        assert forced == engines
         scalar = ProgramEvaluator()
         assert scalar.screen_batch(designs, budget) == arrays
         fallback = scalar.evaluate_batch(designs, budget)
@@ -272,3 +295,73 @@ class TestArrayCompositionParity:
             (r.predicted_cycles.hex(), r.resources) if r else None
             for r in scored
         ]
+
+
+class TestOneStageEngine:
+    """A program search scores its stages through the stage engine it
+    was given, and its Tier-0 screen predicts no stage cycles."""
+
+    def _search(self, engine, tiered=True):
+        program = fdtd_two_field(grid=(32, 32), iterations=2)
+        if not tiered:
+            result = optimize_program(program, evaluator=engine)
+        else:
+            driver = SearchDriver(
+                evaluator=engine, chunk_size=64, screen="latency"
+            )
+            result = optimize_program(program, driver=driver)
+            assert driver.report.chunks == 3
+        assert result.evaluated == 144
+        return result
+
+    def test_screen_predicts_no_stage_cycles(self, monkeypatch):
+        from repro.dse import evaluator as evaluator_module
+
+        predicted = collections.Counter()
+        tier1_batches = []
+
+        class Recording(ProgramEvaluator):
+            tier = "tier1"
+
+            def screen_batch(self, candidates, budget):
+                self.tier = "tier0"
+                try:
+                    return super().screen_batch(candidates, budget)
+                finally:
+                    self.tier = "tier1"
+
+            def evaluate_batch(self, candidates, budget, *args, **kwargs):
+                tier1_batches.append(list(candidates))
+                return super().evaluate_batch(
+                    candidates, budget, *args, **kwargs
+                )
+
+        engine = Recording()
+        real = evaluator_module.predict_batch
+
+        def predict_batch(designs, *args, **kwargs):
+            predicted[engine.tier] += len(designs)
+            return real(designs, *args, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "predict_batch", predict_batch)
+        self._search(engine)
+        assert predicted["tier0"] == 0
+        # Tier-1 predicts each distinct stage design of a batch once.
+        assert tier1_batches and predicted["tier1"] == sum(
+            len({d.signature() for c in batch for _n, d in c.stage_designs})
+            for batch in tier1_batches
+        )
+
+    @pytest.mark.parametrize("tiered", [False, True])
+    def test_search_builds_no_engine_of_its_own(self, monkeypatch, tiered):
+        engine = ProgramEvaluator(stage_engine=CandidateEvaluator())
+        built = []
+        real_init = CandidateEvaluator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CandidateEvaluator, "__init__", counting_init)
+        self._search(engine, tiered)
+        assert built == []

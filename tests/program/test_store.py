@@ -37,14 +37,14 @@ def test_store_round_trip(tmp_path):
     designs = _designs()
     budget = ResourceBudget.from_device(VIRTEX7_690T)
     with DesignStore(tmp_path / "store") as store:
-        first = ProgramEvaluator(store=store)
+        first = ProgramEvaluator(CandidateEvaluator(store=store))
         results = first.evaluate_batch(designs, budget)
         assert first.stats.store_hits == 0
         store.flush()
 
         # A cold evaluator sharing the store resolves every program
         # from its persisted entry — no model recomputation.
-        second = ProgramEvaluator(store=store)
+        second = ProgramEvaluator(CandidateEvaluator(store=store))
         replayed = second.evaluate_batch(designs, budget)
         assert second.stats.store_hits == len(designs)
         for a, b in zip(results, replayed):
@@ -57,7 +57,7 @@ def test_store_entries_keyed_by_program_signature(tmp_path):
     designs = _designs(2)
     budget = ResourceBudget.from_device(VIRTEX7_690T)
     with DesignStore(tmp_path / "store") as store:
-        engine = ProgramEvaluator(store=store)
+        engine = ProgramEvaluator(CandidateEvaluator(store=store))
         engine.evaluate_batch(designs, budget)
         context = evaluation_context(
             engine.board, engine.fidelity, engine.estimator.flexcl
@@ -177,7 +177,7 @@ def test_infeasible_programs_are_written_once(tmp_path):
     nothing = ResourceBudget(ResourceVector(0, 0, 0, 0), label="nothing")
     with _CountingStore(tmp_path / "store") as store:
         for _ in range(2):
-            engine = ProgramEvaluator(store=store)
+            engine = ProgramEvaluator(CandidateEvaluator(store=store))
             assert engine.evaluate_batch(designs, nothing) == [None] * 20
             assert engine.stats.infeasible == 20
         assert store.calls["lookup"] == ["ProgramDesign"] * 40

@@ -342,6 +342,24 @@ class TestRealPipeline:
         assert "__kernel" in result["program"]["kernel_source"]
         assert service.evaluator.stats.evaluated > 0
 
+    def test_no_gauge_reads_one_engines_memo(self, small_request):
+        """A program job publishes through its own engine, so a
+        process-wide memo-size gauge would read that engine's memo, not
+        the resident one's; there is none."""
+        from repro.dse import CandidateEvaluator
+        from repro.service.core import run_synthesis_pipeline
+
+        obs.enable()
+        resident = CandidateEvaluator(max_memo_entries=4096)
+        run_synthesis_pipeline(small_request, resident)
+        memo = resident.cache_size()
+        program = JobRequest(
+            program="blur-sobel-threshold", grid_shape=(32, 32), iterations=2
+        )
+        run_synthesis_pipeline(program, resident)
+        assert resident.cache_size() == memo
+        assert "dse.cache_size" not in obs.get_registry().report()["gauges"]
+
     def test_health_snapshot(self, service_factory):
         service = service_factory(pipeline=echo_pipeline)
         health = service.health()
