@@ -27,9 +27,10 @@ inflated (``--inflate`` x Table 3) jacobi-2d space::
 asserting the tiered search (Pareto screen) returns the
 bitwise-identical best design *and* frontier with at least
 ``--min-speedup`` times fewer Tier-1 exact evaluations and O(chunk)
-candidate residency.  ``--no-exhaustive`` (with
-``--checkpoint``) runs only the tiered pass — the mode CI's
-kill/resume smoke drives.
+candidate residency.  ``--no-exhaustive`` (with ``--store DIR``)
+runs only the tiered pass on a store-backed engine — the mode CI's
+kill/resume smoke drives: a re-run on the same store answers the
+candidates a killed run scored as store hits.
 """
 
 import argparse
@@ -56,7 +57,7 @@ from repro.fpga.resources import VIRTEX7_690T
 from repro.model.predictor import Fidelity, PerformanceModel
 from repro.sim import simulate
 from repro.stencil import jacobi_2d
-from repro.store import DesignStore, SearchCheckpoint
+from repro.store import DesignStore
 from repro.tiling import make_baseline_design, make_pipe_shared_design
 
 
@@ -247,8 +248,7 @@ def inflated_candidates(inflate=100):
     Returns:
         ``(target, stream)`` — the candidate count and a fresh lazy
         generator over it.  Call again for a second identical stream
-        (the enumeration is deterministic, which is also what lets
-        checkpointed runs resume by re-enumeration).
+        (the enumeration is deterministic).
     """
     import itertools
 
@@ -298,6 +298,7 @@ def _tiered_result_json(result, driver):
         },
         "frontier": [_frontier_entry(e) for e in result.frontier],
         "report": driver.report.as_dict(),
+        "stats": result.stats.as_dict(),
     }
 
 
@@ -305,7 +306,7 @@ def tiered_compare(
     min_speedup=5.0,
     inflate=100,
     chunk_size=4096,
-    checkpoint=None,
+    store=None,
     exhaustive=True,
 ):
     """Tiered vs exhaustive search on the inflated jacobi-2d space.
@@ -319,7 +320,8 @@ def tiered_compare(
     ``>= min_speedup`` reduction in Tier-1 exact evaluations.
 
     With ``exhaustive=False`` only the tiered pass runs (optionally
-    against a durable ``checkpoint`` path) — CI's kill/resume smoke.
+    on an engine over the design store at ``store``) — CI's
+    kill/resume smoke.
     """
     budget = ResourceBudget.from_device(VIRTEX7_690T)
     result = {
@@ -329,22 +331,20 @@ def tiered_compare(
         "min_speedup": min_speedup,
     }
 
-    ck = SearchCheckpoint(checkpoint) if checkpoint else None
+    design_store = DesignStore(store) if store else None
     try:
         target, stream = inflated_candidates(inflate)
         tiered_driver = SearchDriver(
-            evaluator=CandidateEvaluator(),
+            evaluator=CandidateEvaluator(store=design_store),
             chunk_size=chunk_size,
             screen="pareto",
-            checkpoint=ck,
-            search_key=f"bench-tiered-{inflate}x",
         )
         start = time.perf_counter()
         tiered = tiered_driver.run(stream, budget)
         t_tiered = time.perf_counter() - start
     finally:
-        if ck is not None:
-            ck.close()
+        if design_store is not None:
+            design_store.close()
     assert tiered_driver.report.candidates == target, (
         f"stream exhausted early ({tiered_driver.report.candidates} of "
         f"{target}); lower --inflate"
@@ -526,12 +526,12 @@ def main(argv=None):
         help="candidates per search chunk for --tiered",
     )
     parser.add_argument(
-        "--checkpoint",
+        "--store",
         default=None,
-        metavar="PATH",
+        metavar="DIR",
         help=(
-            "durable search checkpoint for --tiered; an interrupted "
-            "run re-invoked with the same arguments resumes from it"
+            "design store for --tiered's tiered pass; a re-run on the "
+            "same store answers the candidates it holds as store hits"
         ),
     )
     parser.add_argument(
@@ -563,7 +563,7 @@ def main(argv=None):
                 ),
                 inflate=args.inflate,
                 chunk_size=args.chunk_size,
-                checkpoint=args.checkpoint,
+                store=args.store,
                 exhaustive=not args.no_exhaustive,
             )
         else:

@@ -33,9 +33,9 @@ per-candidate :class:`CandidateTrace` events to an observer hook.
 candidates through this same path: it overrides only the key
 (:meth:`CandidateEvaluator._key`), the scoring hooks
 (:meth:`~CandidateEvaluator._score`,
-:meth:`~CandidateEvaluator._estimate`,
-:meth:`~CandidateEvaluator._bounds`) and
-:meth:`~CandidateEvaluator.lower_bound`.
+:meth:`~CandidateEvaluator._bounds`),
+:meth:`~CandidateEvaluator.lower_bound` and the Tier-0
+:meth:`~CandidateEvaluator.screen_batch`.
 """
 
 from __future__ import annotations
@@ -638,15 +638,6 @@ class CandidateEvaluator:
         space leaves the memo untouched, so peak residency stays
         O(chunk), not O(space).
         """
-        return self._screen_batch(candidates, budget)
-
-    def _screen_batch(
-        self,
-        candidates: Sequence[StencilDesign],
-        budget: ResourceBudget,
-    ) -> Tuple[List[bool], List[float], List[DesignResources]]:
-        """:meth:`screen_batch`'s body, over the :meth:`_estimate` and
-        :meth:`_bounds` hooks."""
         candidates = list(candidates)
         if not candidates:
             return [], [], []

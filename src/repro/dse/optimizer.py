@@ -14,8 +14,8 @@ Candidate enumeration is *streaming*: every entry point builds a lazy
 generator.  Without a ``driver`` the engine scores the whole stream
 exhaustively (``engine.explore``); passing a tiered
 :class:`~repro.dse.search.SearchDriver` turns the same search into a
-chunked screen-then-refine sweep with O(chunk) candidate residency and
-an optional resume checkpoint (see ``docs/SEARCH.md``).
+chunked screen-then-refine sweep with O(chunk) candidate residency
+(see ``docs/SEARCH.md``).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.dse.evaluator import (
 from repro.dse.search import SearchDriver
 from repro.dse.space import DesignSpace, fused_depth_candidates
 from repro.errors import DesignSpaceError
-from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import FpgaDevice, VIRTEX7_690T
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.stencil.spec import StencilSpec
@@ -57,14 +56,13 @@ __all__ = [
 def _resolve_evaluator(
     evaluator: Optional[CandidateEvaluator],
     board: BoardSpec,
-    estimator: Optional[ResourceEstimator] = None,
     driver: Optional[SearchDriver] = None,
 ) -> CandidateEvaluator:
     if driver is not None:
         return driver.evaluator
     if evaluator is not None:
         return evaluator
-    return CandidateEvaluator(board=board, estimator=estimator)
+    return CandidateEvaluator(board=board)
 
 
 def _run_search(
@@ -72,16 +70,11 @@ def _run_search(
     driver: Optional[SearchDriver],
     candidates: Iterator[StencilDesign],
     budget: ResourceBudget,
-    identity: dict,
 ) -> DSEResult:
-    """Score the stream exhaustively, or through ``driver`` when given.
-
-    ``identity`` fingerprints the stream (entry point, spec and search
-    knobs); a checkpointing driver files the search's records under it.
-    """
+    """Score the stream exhaustively, or through ``driver`` when given."""
     if driver is None:
         return engine.explore(list(candidates), budget)
-    return driver.run(candidates, budget, identity=identity)
+    return driver.run(candidates, budget)
 
 
 def baseline_candidates(space: DesignSpace) -> Iterator[StencilDesign]:
@@ -119,14 +112,6 @@ def optimize_baseline(
         driver,
         baseline_candidates(space),
         ResourceBudget.from_device(device),
-        identity={
-            "entry": "baseline",
-            "spec": spec.signature(),
-            "counts": space.counts,
-            "tiles": space.tile_candidates,
-            "max_fused_depth": space.max_fused_depth,
-            "unroll": space.unroll,
-        },
     )
 
 
@@ -134,7 +119,6 @@ def optimize_pipe_shared(
     spec: StencilSpec,
     baseline: StencilDesign,
     board: BoardSpec = ADM_PCIE_7V3,
-    estimator: Optional[ResourceEstimator] = None,
     evaluator: Optional[CandidateEvaluator] = None,
     driver: Optional[SearchDriver] = None,
 ) -> DSEResult:
@@ -144,7 +128,7 @@ def optimize_pipe_shared(
     baseline (Section 5.4); only the fusion depth is re-explored — the
     BRAM freed by eliminating overlap storage admits deeper cones.
     """
-    engine = _resolve_evaluator(evaluator, board, estimator, driver=driver)
+    engine = _resolve_evaluator(evaluator, board, driver=driver)
     budget = ResourceBudget.from_design(baseline, engine.estimator)
     slowest = baseline.slowest_tile()
     depths = fused_depth_candidates(
@@ -161,17 +145,7 @@ def optimize_pipe_shared(
         )
         for h in depths
     )
-    return _run_search(
-        engine,
-        driver,
-        candidates,
-        budget,
-        identity={
-            "entry": "pipe-shared",
-            "spec": spec.signature(),
-            "baseline": baseline.signature(),
-        },
-    )
+    return _run_search(engine, driver, candidates, budget)
 
 
 def full_space_candidates(
@@ -271,15 +245,6 @@ def optimize_full(
     """
     budget = ResourceBudget.from_device(device)
     engine = _resolve_evaluator(evaluator, board, driver=driver)
-    knobs = {
-        "entry": "full",
-        "spec": spec.signature(),
-        "unroll": unroll,
-        "max_kernels": max_kernels,
-        "max_fused_depth": max_fused_depth,
-        "max_tile_options": max_tile_options,
-        "device": device.name,
-    }
     results = {}
     for label, kind in (
         ("baseline", DesignKind.BASELINE),
@@ -298,7 +263,6 @@ def optimize_full(
                 max_tile_options=max_tile_options,
             ),
             budget,
-            identity=dict(knobs, kind=label),
         )
     return results
 
@@ -307,7 +271,6 @@ def optimize_heterogeneous(
     spec: StencilSpec,
     baseline: StencilDesign,
     board: BoardSpec = ADM_PCIE_7V3,
-    estimator: Optional[ResourceEstimator] = None,
     evaluator: Optional[CandidateEvaluator] = None,
     driver: Optional[SearchDriver] = None,
 ) -> DSEResult:
@@ -317,7 +280,7 @@ def optimize_heterogeneous(
     optimal tile extents (the paper's ``f_k_d`` enumeration collapses
     to this closed form), the region layout matching the baseline's.
     """
-    engine = _resolve_evaluator(evaluator, board, estimator, driver=driver)
+    engine = _resolve_evaluator(evaluator, board, driver=driver)
     budget = ResourceBudget.from_design(baseline, engine.estimator)
     region = baseline.tile_grid.region_shape
     depths = fused_depth_candidates(
@@ -338,14 +301,4 @@ def optimize_heterogeneous(
             except DesignSpaceError:  # pragma: no cover - defensive
                 continue
 
-    return _run_search(
-        engine,
-        driver,
-        candidates(),
-        budget,
-        identity={
-            "entry": "heterogeneous",
-            "spec": spec.signature(),
-            "baseline": baseline.signature(),
-        },
-    )
+    return _run_search(engine, driver, candidates(), budget)

@@ -25,10 +25,11 @@ design* — bitwise — and, under the ``"pareto"`` screen, the same
 final frontier as exhaustive scoring (``docs/SEARCH.md`` states the
 argument precisely).
 
-With a :class:`~repro.store.checkpoint.SearchCheckpoint` attached,
-every completed chunk's survivors are durably recorded; a killed
-sweep resumes by re-enumerating the (deterministic) stream and
-replaying recorded chunks.
+The search keeps no record of its own: every Tier-1 score is a pure
+function of the design and the engine's evaluation context, so an
+engine with a :class:`~repro.store.backing.DesignStore` makes the
+work durable.  A killed or repeated search resumes by running again
+on that store; finished candidates come back as store hits.
 
 A caller that passes no driver runs the exhaustive search instead:
 ``evaluator.explore(list(candidates), budget)``.
@@ -51,14 +52,7 @@ from repro.dse.evaluator import (
     EvaluationStats,
 )
 from repro.dse.pareto import pareto_front
-from repro.errors import DesignSpaceError, StoreError
-from repro.store.backing import (
-    _resources_from_json,
-    _resources_to_json,
-    digest,
-    evaluation_context,
-)
-from repro.store.checkpoint import SearchCheckpoint
+from repro.errors import DesignSpaceError
 from repro.tiling.design import StencilDesign
 
 __all__ = [
@@ -175,7 +169,6 @@ class SearchReport:
     """
 
     chunks: int = 0
-    replayed_chunks: int = 0
     candidates: int = 0
     infeasible: int = 0
     screened: int = 0
@@ -192,12 +185,11 @@ class SearchReport:
 
 @dataclass(frozen=True)
 class _ChunkOutcome:
-    """What one chunk contributed (scored live or replayed)."""
+    """What one scored chunk contributed."""
 
     survivors: List[EvaluatedDesign] = field(default_factory=list)
     infeasible: int = 0
     screened: int = 0
-    replayed: bool = False
 
 
 class SearchDriver:
@@ -205,15 +197,11 @@ class SearchDriver:
 
     Args:
         evaluator: the exact Tier-1 engine (a serial
-            :class:`CandidateEvaluator` is built when omitted).
+            :class:`CandidateEvaluator` is built when omitted); a
+            re-run on an engine over the same store answers finished
+            work from it.
         chunk_size: candidates materialized at a time (at least 1).
         screen: Tier-0 mode, one of :data:`SCREEN_MODES`.
-        checkpoint: optional durable chunk store; completed chunks
-            replay on resume instead of re-scoring.
-        search_key: prefix of this driver's checkpoint search ids.
-            :meth:`run` appends a digest of the caller's stream
-            identity, so several searches can share one checkpoint
-            file.
     """
 
     def __init__(
@@ -221,8 +209,6 @@ class SearchDriver:
         evaluator: Optional[CandidateEvaluator] = None,
         chunk_size: int = 1024,
         screen: Optional[str] = "latency",
-        checkpoint: Optional[SearchCheckpoint] = None,
-        search_key: Optional[str] = None,
     ):
         if chunk_size is None or chunk_size < 1:
             raise DesignSpaceError(
@@ -236,91 +222,8 @@ class SearchDriver:
         self.evaluator = evaluator or CandidateEvaluator()
         self.chunk_size = chunk_size
         self.screen = screen
-        self.checkpoint = checkpoint
-        self.search_key = search_key
         #: Counters of the most recent :meth:`run`.
         self.report = SearchReport()
-
-    # -- checkpoint plumbing ---------------------------------------------------
-
-    def _meta(self, budget: ResourceBudget) -> dict:
-        engine = self.evaluator
-        return {
-            "context": evaluation_context(
-                engine.board, engine.fidelity, engine.estimator.flexcl
-            ),
-            "budget": {
-                "label": budget.label,
-                "limit": [
-                    budget.limit.ff,
-                    budget.limit.lut,
-                    budget.limit.dsp,
-                    budget.limit.bram18,
-                ],
-            },
-            "chunk_size": self.chunk_size,
-            "screen": self.screen,
-        }
-
-    def _search_id(
-        self, budget: ResourceBudget, identity: Optional[dict]
-    ) -> str:
-        """The checkpoint id of one :meth:`run`."""
-        if identity is not None:
-            prefix = self.search_key or "search"
-            return f"{prefix}:{digest(identity)[:12]}"
-        return self.search_key or digest(self._meta(budget))[:16]
-
-    @staticmethod
-    def _chunk_payload(
-        chunk: Sequence[StencilDesign],
-        outcome: _ChunkOutcome,
-    ) -> dict:
-        # Map survivors back to chunk positions by signature: the
-        # engine's memo may hand back an ``EvaluatedDesign`` built from
-        # an equal design seen earlier, so identity cannot be used.
-        index_of: Dict[Tuple, int] = {}
-        for j, design in enumerate(chunk):
-            index_of.setdefault(design.signature(), j)
-        return {
-            "n": len(chunk),
-            "infeasible": outcome.infeasible,
-            "screened": outcome.screened,
-            "survivors": [
-                [
-                    index_of[e.design.signature()],
-                    e.predicted_cycles,
-                    _resources_to_json(e.resources),
-                ]
-                for e in outcome.survivors
-            ],
-        }
-
-    @staticmethod
-    def _replay_chunk(
-        chunk: Sequence[StencilDesign], payload: dict
-    ) -> _ChunkOutcome:
-        if payload.get("n") != len(chunk):
-            raise StoreError(
-                "Search checkpoint chunk does not match the enumerated "
-                f"stream (recorded {payload.get('n')} candidates, "
-                f"enumerated {len(chunk)}); the candidate generator "
-                "must be deterministic across runs"
-            )
-        survivors = [
-            EvaluatedDesign(
-                design=chunk[local],
-                predicted_cycles=cycles,
-                resources=_resources_from_json(resources),
-            )
-            for local, cycles, resources in payload["survivors"]
-        ]
-        return _ChunkOutcome(
-            survivors=survivors,
-            infeasible=int(payload.get("infeasible", 0)),
-            screened=int(payload.get("screened", 0)),
-            replayed=True,
-        )
 
     # -- chunk scoring ---------------------------------------------------------
 
@@ -397,7 +300,6 @@ class SearchDriver:
         self,
         candidates: Iterable[StencilDesign],
         budget: ResourceBudget,
-        identity: Optional[dict] = None,
     ) -> DSEResult:
         """Search a candidate stream; return the frontier's result.
 
@@ -406,15 +308,7 @@ class SearchDriver:
         as ``candidates``, and the band under ``frontier``;
         ``evaluated``/``feasible`` count the streamed and feasible
         candidates.
-
-        ``identity`` fingerprints the stream (entry point, spec and
-        search knobs).  With a checkpoint attached, the search's
-        records live under ``search_key`` plus its digest.
         """
-        checkpoint = self.checkpoint
-        if checkpoint is not None:
-            search = self._search_id(budget, identity)
-            checkpoint.begin(search, self._meta(budget))
         frontier = SearchFrontier()
         run_stats = EvaluationStats()
         report = SearchReport()
@@ -425,37 +319,13 @@ class SearchDriver:
             chunk_size=self.chunk_size,
             screen=self.screen or "off",
         ) as run_span:
-            for index in itertools.count():
+            while True:
                 chunk = list(itertools.islice(stream, self.chunk_size))
                 if not chunk:
                     break
-                payload = (
-                    checkpoint.chunk(search, index)
-                    if checkpoint is not None
-                    else None
+                outcome = self._score_chunk(
+                    chunk, budget, frontier, run_stats
                 )
-                if payload is not None:
-                    outcome = self._replay_chunk(chunk, payload)
-                    replay = EvaluationStats(
-                        candidates=len(chunk),
-                        infeasible=outcome.infeasible,
-                        screened=outcome.screened,
-                        promoted=len(outcome.survivors),
-                    )
-                    self.evaluator.absorb_stats(replay)
-                    run_stats.merge(replay)
-                    report.replayed_chunks += 1
-                    obs.inc("search.chunk_replays")
-                else:
-                    outcome = self._score_chunk(
-                        chunk, budget, frontier, run_stats
-                    )
-                    if checkpoint is not None:
-                        checkpoint.record_chunk(
-                            search,
-                            index,
-                            self._chunk_payload(chunk, outcome),
-                        )
                 frontier.extend(outcome.survivors)
                 report.chunks += 1
                 report.candidates += len(chunk)
@@ -481,10 +351,7 @@ class SearchDriver:
         self.report = report
         if obs.enabled():
             _log.debug(
-                "search: %s chunks (%s replayed), %s",
-                report.chunks,
-                report.replayed_chunks,
-                run_stats.summary(),
+                "search: %s chunks, %s", report.chunks, run_stats.summary()
             )
         if frontier.best is None:
             raise DesignSpaceError(

@@ -35,9 +35,10 @@ interpreter; see ``docs/SIM.md``).
 Every experiment/tool accepts ``--store DIR`` to persist design
 evaluations and sweep measurements: a rerun (or a run resumed after a
 crash) warm-starts from the stored results and produces byte-identical
-reports.  A server started with ``--store DIR`` answers repeat queries
-from the same store across restarts.  The store itself is managed
-with::
+reports.  A ``--tiered`` search resumes the same way, whatever its
+``--chunk-size``: candidates it already scored are store hits.  A
+server started with ``--store DIR`` answers repeat queries from the
+same store across restarts.  The store itself is managed with::
 
     python -m repro.experiments store stats      --store DIR
     python -m repro.experiments store compact    --store DIR
@@ -105,42 +106,30 @@ class _StoreSession:
 
     RESULTS_DIR = "results"
     SWEEPS_FILE = "sweeps.jsonl"
-    SEARCHES_FILE = "searches.jsonl"
 
     def __init__(self, path: Optional[str]):
         self.store = None
         self.checkpoint = None
-        self.search_checkpoint = None
         if path:
-            from repro.store import (
-                DesignStore,
-                SearchCheckpoint,
-                SweepCheckpoint,
-            )
+            from repro.store import DesignStore, SweepCheckpoint
 
             root = pathlib.Path(path)
             self.store = DesignStore(root / self.RESULTS_DIR)
             self.checkpoint = SweepCheckpoint(root / self.SWEEPS_FILE)
-            self.search_checkpoint = SearchCheckpoint(
-                root / self.SEARCHES_FILE
-            )
 
     def evaluator(self):
         from repro.dse.evaluator import CandidateEvaluator
 
         return CandidateEvaluator(store=self.store)
 
-    def driver(self, args, evaluator=None):
-        """A tiered SearchDriver when ``--tiered``, else ``None``."""
+    def driver(self, args, evaluator):
+        """A tiered SearchDriver over ``evaluator`` when ``--tiered``,
+        else ``None``."""
         if not getattr(args, "tiered", False):
             return None
         from repro.dse.search import SearchDriver
 
-        return SearchDriver(
-            evaluator=evaluator or self.evaluator(),
-            chunk_size=args.chunk_size,
-            checkpoint=self.search_checkpoint,
-        )
+        return SearchDriver(evaluator=evaluator, chunk_size=args.chunk_size)
 
     def executor(self, board=None):
         from repro.opencl.platform import ADM_PCIE_7V3
@@ -165,12 +154,9 @@ class _StoreSession:
             self.store.close()
         if self.checkpoint is not None:
             self.checkpoint.close()
-        if self.search_checkpoint is not None:
-            self.search_checkpoint.close()
 
 
-def _build_designs(benchmark: str, evaluator=None, driver=None):
-    from repro.dse.evaluator import CandidateEvaluator
+def _build_designs(benchmark: str, evaluator, driver):
     from repro.dse.optimizer import (
         optimize_heterogeneous,
         optimize_pipe_shared,
@@ -179,15 +165,14 @@ def _build_designs(benchmark: str, evaluator=None, driver=None):
     config = TABLE3_CONFIGS[benchmark]
     baseline = config.baseline()
     spec = baseline.spec
-    engine = evaluator or CandidateEvaluator()
     return {
         "spec": spec,
         "baseline": baseline,
         "pipe": optimize_pipe_shared(
-            spec, baseline, evaluator=engine, driver=driver
+            spec, baseline, evaluator=evaluator, driver=driver
         ).best.design,
         "hetero": optimize_heterogeneous(
-            spec, baseline, evaluator=engine, driver=driver
+            spec, baseline, evaluator=evaluator, driver=driver
         ).best.design,
     }
 
@@ -217,8 +202,9 @@ def _cmd_optimize(args, session: _StoreSession) -> List[str]:
 def _cmd_simulate(args, session: _StoreSession) -> List[str]:
     from repro.sim import simulate
 
+    evaluator = session.evaluator()
     bundle = _build_designs(
-        args.benchmark, session.evaluator(), session.driver(args)
+        args.benchmark, evaluator, session.driver(args, evaluator)
     )
     design = bundle[args.design]
     result = simulate(design)
@@ -241,8 +227,9 @@ def _cmd_simulate(args, session: _StoreSession) -> List[str]:
 def _cmd_codegen(args, session: _StoreSession) -> List[str]:
     from repro.codegen import generate_program
 
+    evaluator = session.evaluator()
     bundle = _build_designs(
-        args.benchmark, session.evaluator(), session.driver(args)
+        args.benchmark, evaluator, session.driver(args, evaluator)
     )
     design = bundle[args.design]
     program = generate_program(design)
@@ -308,12 +295,10 @@ def _cmd_program(args, session: _StoreSession) -> List[str]:
         f"{synth.dse.feasible} feasible",
     ]
     if driver is not None:
-        report = driver.report.as_dict()
         lines.append(
-            f"Search: {report['chunks']:.0f} chunks "
-            f"({report['replayed_chunks']:.0f} replayed from "
-            f"checkpoint), {report['tier1_evaluations']:.0f} tier-1 "
-            f"evaluations"
+            f"Search: {driver.report.chunks} chunks, "
+            f"{driver.report.tier1_evaluations} tier-1 evaluations, "
+            f"{synth.dse.stats.store_hits} store hits"
         )
     if args.output:
         out_dir = pathlib.Path(args.output)
@@ -641,8 +626,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "'optimize', 'simulate', 'codegen', 'program': route "
             "design-space exploration through the tiered "
-            "screen-then-refine SearchDriver (same best designs; with "
-            "--store, interrupted searches resume from searches.jsonl)"
+            "screen-then-refine SearchDriver (same best designs; a "
+            "re-run on the same --store answers finished work from "
+            "the store)"
         ),
     )
     parser.add_argument(

@@ -49,12 +49,12 @@ from repro.program.model import (
     RECONFIGURATION_CYCLES,
     compose_cycles,
     compose_resources,
-    estimate_program_batch,
     forwardable_edges,
     forwarding_savings,
     lower_bound_program_batch,
     predict_program_batch,
     program_lower_bound,
+    screen_program_batch,
 )
 from repro.program.evaluator import ProgramEvaluator
 from repro.program.dse import (
@@ -84,12 +84,12 @@ __all__ = [
     "RECONFIGURATION_CYCLES",
     "compose_cycles",
     "compose_resources",
-    "estimate_program_batch",
     "forwardable_edges",
     "forwarding_savings",
     "lower_bound_program_batch",
     "predict_program_batch",
     "program_lower_bound",
+    "screen_program_batch",
     "ProgramEvaluator",
     "optimize_program",
     "optimize_stages_independently",

@@ -8,7 +8,7 @@ with tighter caps — the product grows multiplicatively).  Candidates
 stream lazily, either into one exhaustive ``explore`` or through the
 tiered :class:`~repro.dse.search.SearchDriver`, so program searches get
 the vectorized Tier-0 screen (per-stage admissible bounds composed
-along the DAG), chunked O(chunk) residency and resume checkpoints for
+along the DAG), chunked O(chunk) residency and store-backed resume for
 free.
 
 :func:`optimize_program` is the program analogue of ``optimize_full``;
@@ -24,7 +24,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.dse.constraints import ResourceBudget
 from repro.dse.evaluator import CandidateEvaluator, DSEResult, EvaluatedDesign
-from repro.dse.optimizer import full_space_candidates
+from repro.dse.optimizer import _run_search, full_space_candidates
 from repro.dse.search import SearchDriver
 from repro.errors import DesignSpaceError
 from repro.fpga.resources import FpgaDevice, VIRTEX7_690T
@@ -62,8 +62,7 @@ def stage_design_options(
     Reuses the single-stencil full-space enumeration with tight caps
     (the program space is the *product* of these per-stage lists, so
     each list must stay small).  The order is deterministic across
-    runs — the product enumeration must replay identically for
-    checkpoint resume.
+    runs, so equal-latency ties resolve to the same design every run.
     """
     options = []
     for kind in kinds:
@@ -93,8 +92,7 @@ def program_candidates(
     """Lazily enumerate the product space of per-stage options.
 
     Stages vary in topological order with the last stage innermost;
-    the stream is deterministic given deterministic option lists, as
-    checkpoint replay requires.
+    the stream is deterministic given deterministic option lists.
     """
     order = program.topo_order()
     for name in order:
@@ -159,8 +157,8 @@ def optimize_program(
         evaluator: a shared :class:`ProgramEvaluator` (one is built
             when omitted; ignored when ``driver`` carries its own).
         driver: a tiered :class:`~repro.dse.search.SearchDriver` built
-            on a :class:`ProgramEvaluator` for chunked screening and
-            checkpoint resume; without one the search is exhaustive.
+            on a :class:`ProgramEvaluator` for chunked screening;
+            without one the search is exhaustive.
 
     Returns:
         The usual :class:`~repro.dse.evaluator.DSEResult`, with
@@ -184,21 +182,9 @@ def optimize_program(
         )
         for stage in program.stages
     }
-    candidates = program_candidates(program, options, schedule)
-    if driver is None:
-        return engine.explore(list(candidates), budget)
-    identity = {
-        "entry": "program",
-        "program": program.signature(),
-        "schedule": schedule,
-        "kinds": [k.value for k in kinds],
-        "unroll": unroll,
-        "max_kernels": max_kernels,
-        "max_fused_depth": max_fused_depth,
-        "max_tile_options": max_tile_options,
-        "budget": budget.label,
-    }
-    return driver.run(candidates, budget, identity=identity)
+    return _run_search(
+        engine, driver, program_candidates(program, options, schedule), budget
+    )
 
 
 def optimize_stages_independently(

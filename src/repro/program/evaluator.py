@@ -8,10 +8,10 @@ program-specific:
 
 - the memo key: a program design's store key, which it hashes once
   from cached stage encodings;
-- batch scoring, the composed Tier-0 resources and the composed bound,
-  through the program batch engines of :mod:`repro.program.model`
+- batch scoring, the Tier-0 screen and the composed bound, through
+  the program batch engines of :mod:`repro.program.model`
   (:func:`~repro.program.model.predict_program_batch`,
-  :func:`~repro.program.model.estimate_program_batch`,
+  :func:`~repro.program.model.screen_program_batch`,
   :func:`~repro.program.model.lower_bound_program_batch`): the stage
   engine scores each distinct stage design once, with its own batch
   engines and scalar fallback, and every candidate is composed with
@@ -37,9 +37,9 @@ from repro.dse.evaluator import (
 from repro.fpga.estimator import DesignResources
 from repro.program.design import ProgramDesign
 from repro.program.model import (
-    estimate_program_batch,
     lower_bound_program_batch,
     predict_program_batch,
+    screen_program_batch,
 )
 from repro.store.backing import store_key
 
@@ -92,12 +92,6 @@ class ProgramEvaluator(CandidateEvaluator):
             return []
         return predict_program_batch(designs, self.stage_engine, resources)
 
-    def _estimate(
-        self, designs: Sequence[ProgramDesign]
-    ) -> List[DesignResources]:
-        """Composed resources per design (the Tier-0 screen's)."""
-        return estimate_program_batch(designs, self.stage_engine).rows()
-
     def _bounds(self, designs: Sequence[ProgramDesign]) -> List[float]:
         """Admissible composed lower bound per design."""
         bounds = lower_bound_program_batch(designs, self.stage_engine)
@@ -120,8 +114,14 @@ class ProgramEvaluator(CandidateEvaluator):
     ) -> Tuple[List[bool], List[float], List[DesignResources]]:
         """:meth:`CandidateEvaluator.screen_batch`, composed along each
         candidate's DAG: shared-budget verdicts, admissible composed
-        bounds and composed resources."""
-        return self._screen_batch(candidates, budget)
+        bounds and composed resources, from one stage index."""
+        candidates = list(candidates)
+        if not candidates:
+            return [], [], []
+        columns, bounds = screen_program_batch(candidates, self.stage_engine)
+        resources = columns.rows()
+        feasible = [r.total.fits_within(budget.limit) for r in resources]
+        return feasible, bounds.tolist(), resources
 
     def evaluate_batch(
         self,

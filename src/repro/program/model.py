@@ -36,7 +36,7 @@ Tier-0 screen stays admissible for programs.
 
 The module also provides the program analogues of the batch engines,
 which the :class:`~repro.program.evaluator.ProgramEvaluator` scores
-with: :func:`predict_program_batch`, :func:`estimate_program_batch`
+with: :func:`predict_program_batch`, :func:`screen_program_batch`
 and :func:`lower_bound_program_batch` have a stage engine (a
 :class:`~repro.dse.evaluator.CandidateEvaluator`) score each
 *distinct* stage design of a batch once, then compose every candidate
@@ -339,17 +339,20 @@ def predict_program_batch(
     return list(zip(cycles.tolist(), resources))
 
 
-def estimate_program_batch(
+def screen_program_batch(
     designs: Sequence[ProgramDesign], engine: "CandidateEvaluator"
-) -> BatchResources:
-    """Composed resources per program, as columns (the Tier-0 screen's).
+) -> Tuple[BatchResources, np.ndarray]:
+    """Composed resources (as columns) and admissible bounds per
+    program: the Tier-0 screen's data, from one stage index.
 
-    ``engine`` estimates each distinct stage design once and predicts
-    no cycles; entry ``i`` equals :func:`compose_resources` of
-    candidate ``i``'s stage estimates.
+    ``engine`` estimates and bounds each distinct stage design once
+    and predicts no cycles; entry ``i`` equals
+    :func:`compose_resources` and :func:`program_lower_bound` of
+    candidate ``i``'s stage numbers, bitwise.
     """
     index = _StageIndex(designs)
-    return index.compose_resources(engine._estimate(index.stages))
+    resources = index.compose_resources(engine._estimate(index.stages))
+    return resources, index.compose(engine._bounds(index.stages), engine.board)
 
 
 def lower_bound_program_batch(

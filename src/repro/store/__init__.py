@@ -13,9 +13,11 @@ makes them durable artifacts instead of per-process throwaways:
   :class:`~repro.dse.evaluator.CandidateEvaluator` consults on miss
   and writes through on evaluation.
 - :mod:`repro.store.checkpoint` — :class:`SweepCheckpoint` and
-  :class:`CheckpointedExecutor` for resumable experiment sweeps, and
-  :class:`SearchCheckpoint` for resumable tiered searches
-  (see ``docs/SEARCH.md``).
+  :class:`CheckpointedExecutor` for resumable experiment sweeps.
+
+A killed or repeated tiered search resumes through the design store
+itself: run it again on an engine over the same store and finished
+candidates come back as store hits (see ``docs/SEARCH.md``).
 
 Typical warm-start usage::
 
@@ -38,11 +40,7 @@ from repro.store.backing import (
     digest,
     evaluation_context,
 )
-from repro.store.checkpoint import (
-    CheckpointedExecutor,
-    SearchCheckpoint,
-    SweepCheckpoint,
-)
+from repro.store.checkpoint import CheckpointedExecutor, SweepCheckpoint
 from repro.store.index import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
@@ -66,7 +64,6 @@ __all__ = [
     "digest",
     "evaluation_context",
     "SweepCheckpoint",
-    "SearchCheckpoint",
     "CheckpointedExecutor",
     "Journal",
     "canonical_json",

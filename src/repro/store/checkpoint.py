@@ -115,90 +115,6 @@ class SweepCheckpoint:
         self.close()
 
 
-class SearchCheckpoint:
-    """Durable per-chunk survivor records for tiered searches.
-
-    The :class:`~repro.dse.search.SearchDriver` enumerates candidates
-    deterministically, so a search needs no cursor serialization to
-    resume: it re-enumerates the stream and, for every chunk already
-    recorded here, replays the chunk's surviving ``(local index,
-    cycles, resources)`` triples instead of re-screening and
-    re-scoring it.  The frontier they rebuild is exactly the one the
-    interrupted run held (JSON round-trips floats exactly), so an
-    interrupted-then-resumed sweep converges on the same best design
-    and Pareto band as an uninterrupted one.
-
-    Records are grouped under a caller-chosen search id; a ``meta``
-    record written at :meth:`begin` pins the search configuration
-    (budget, evaluation context, chunk size, screen mode) and
-    a mismatch on resume raises :class:`~repro.errors.StoreError`
-    instead of silently mixing two different searches.
-
-    Args:
-        path: the checkpoint journal file (created if missing; a torn
-            tail from a previous crash is repaired on open).
-        sync: journal fsync policy, as in :class:`SweepCheckpoint`.
-    """
-
-    def __init__(self, path: PathLike, sync: str = "always"):
-        self._sweep = SweepCheckpoint(path, sync=sync)
-        self.path = self._sweep.path
-
-    @property
-    def recovered_drops(self) -> int:
-        """Torn records dropped while opening the checkpoint."""
-        return self._sweep.recovered_drops
-
-    @staticmethod
-    def _meta_key(search: str) -> str:
-        return f"search:{search}:meta"
-
-    @staticmethod
-    def _chunk_key(search: str, index: int) -> str:
-        return f"search:{search}:chunk:{index}"
-
-    def begin(self, search: str, meta: dict) -> bool:
-        """Open (or re-open) one search; returns True when resuming.
-
-        Raises:
-            StoreError: when ``search`` was begun with a different
-                configuration fingerprint.
-        """
-        existing = self._sweep.get(self._meta_key(search))
-        if existing is None:
-            self._sweep.put(self._meta_key(search), meta)
-            return False
-        if existing != meta:
-            raise StoreError(
-                f"Search checkpoint {self.path} entry {search!r} was "
-                f"recorded under a different configuration; use a new "
-                f"search id (or checkpoint file) for a changed search"
-            )
-        return True
-
-    def chunk(self, search: str, index: int):
-        """The recorded payload for one chunk, or ``None``."""
-        return self._sweep.get(self._chunk_key(search, index))
-
-    def record_chunk(self, search: str, index: int, payload: dict) -> None:
-        """Durably record one completed chunk (fsynced before return)."""
-        self._sweep.put(self._chunk_key(search, index), payload)
-
-    def flush(self) -> None:
-        """Force an fsync of the underlying journal."""
-        self._sweep.flush()
-
-    def close(self) -> None:
-        """Flush and release the journal handle."""
-        self._sweep.close()
-
-    def __enter__(self) -> "SearchCheckpoint":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-
 class CheckpointedExecutor:
     """Cycle-simulator front door with durable measurement results.
 

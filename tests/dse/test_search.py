@@ -6,8 +6,9 @@ screen mode, vectorized or scalar screening) must return the
 with a frontier-preserving screen (``None`` or ``"pareto"``; the
 latency screen may legitimately drop band points slower than the
 best) — the identical final Pareto frontier.
-Checkpointed runs must resume to the same answer after interruption,
-including a SIGKILL mid-chunk.
+A search on a store-backed engine must resume to the same answer
+after interruption, including a SIGKILL mid-search, and a re-run on
+the same store answers finished work from it.
 """
 
 import os
@@ -33,13 +34,13 @@ from repro.dse import (
 )
 from repro.dse import evaluator as evaluator_module
 from repro.dse.search import SearchFrontier
-from repro.errors import DesignSpaceError, StoreError
+from repro.errors import DesignSpaceError
 from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import VIRTEX7_690T, ResourceVector
 from repro.model.batch import BatchRangeError, lower_bound_batch
 from repro.model.predictor import Fidelity
 from repro.stencil import jacobi_2d
-from repro.store import CRASH_ENV, SearchCheckpoint
+from repro.store import CRASH_ENV, DesignStore
 from repro.tiling import make_baseline_design, make_pipe_shared_design
 
 
@@ -287,15 +288,20 @@ class TestDriverEquivalence:
         assert stats.promoted == report.promoted
 
 
-class TestCheckpointResume:
-    def _driver(self, checkpoint, **kw):
-        return SearchDriver(
-            evaluator=CandidateEvaluator(),
-            chunk_size=kw.pop("chunk_size", 16),
-            checkpoint=checkpoint,
-            search_key=kw.pop("search_key", "test"),
-            **kw,
+def _search(path, designs, chunk_size=16, screen="latency"):
+    """One tiered search on a fresh engine over the store at ``path``;
+    returns ``(result, driver)``."""
+    with DesignStore(path) as store:
+        driver = SearchDriver(
+            evaluator=CandidateEvaluator(store=store),
+            chunk_size=chunk_size,
+            screen=screen,
         )
+        return driver.run(iter(designs), _budget()), driver
+
+
+class TestCheckpointResume:
+    """The design store is a tiered search's only durable record."""
 
     def test_interrupted_stream_resumes_to_same_result(
         self, tmp_path, small_jacobi2d
@@ -303,132 +309,124 @@ class TestCheckpointResume:
         designs = _mixed_candidates(
             small_jacobi2d, _space(small_jacobi2d)
         )
-        budget = _budget()
         reference = SearchDriver(
             evaluator=CandidateEvaluator(), chunk_size=16
-        ).run(iter(designs), budget)
-        path = tmp_path / "search.jsonl"
+        )
+        expected = reference.run(iter(designs), _budget())
         # "Interrupt" after three chunks by truncating the stream.
-        with SearchCheckpoint(path) as ck:
-            partial = self._driver(ck)
-            try:
-                partial.run(iter(designs[: 3 * 16]), budget)
-            except DesignSpaceError:
-                pass  # the prefix may hold no feasible design
-        with SearchCheckpoint(path) as ck:
-            resumed = self._driver(ck)
-            result = resumed.run(iter(designs), budget)
-        assert resumed.report.replayed_chunks == 3
+        _partial, partial = _search(tmp_path, designs[: 3 * 16])
+        result, resumed = _search(tmp_path, designs)
         assert resumed.report.chunks == (len(designs) + 15) // 16
-        _assert_same_best(result, reference)
+        # The three recorded chunks are store hits; nothing is scored
+        # twice across the two runs.
+        assert result.stats.store_hits == partial.report.tier1_evaluations
+        assert (
+            partial.report.tier1_evaluations
+            + resumed.report.tier1_evaluations
+            == reference.report.tier1_evaluations
+        )
+        _assert_same_best(result, expected)
         assert _signature_view(result.frontier) == _signature_view(
-            reference.frontier
+            expected.frontier
         )
 
     def test_full_replay_runs_no_tier1(self, tmp_path, small_jacobi2d):
         designs = _mixed_candidates(
             small_jacobi2d, _space(small_jacobi2d)
         )
-        budget = _budget()
-        path = tmp_path / "search.jsonl"
-        with SearchCheckpoint(path) as ck:
-            first = self._driver(ck)
-            one = first.run(iter(designs), budget)
-        with SearchCheckpoint(path) as ck:
-            second = self._driver(ck)
-            two = second.run(iter(designs), budget)
-        assert second.report.replayed_chunks == second.report.chunks
+        one, _first = _search(tmp_path, designs)
+        two, second = _search(tmp_path, designs)
         assert second.report.tier1_evaluations == 0
+        assert two.stats.store_hits == second.report.promoted > 0
         _assert_same_best(two, one)
         assert _signature_view(two.frontier) == _signature_view(
             one.frontier
         )
-        # Replayed EvaluatedDesigns round-trip cycles exactly.
+        # Stored results round-trip cycles and resources exactly.
         assert two.best.predicted_cycles == one.best.predicted_cycles
         assert two.best.resources == one.best.resources
 
-    def test_meta_mismatch_raises(self, tmp_path, small_jacobi2d):
+    @pytest.mark.parametrize(
+        "chunk_size, screen",
+        [(8, "pareto"), (16, "latency"), (8, "latency")],
+    )
+    def test_changed_chunk_size_or_screen_reruns_from_store(
+        self, tmp_path, small_jacobi2d, chunk_size, screen
+    ):
+        """A finer chunking or a stricter screen promotes a subset of
+        what the first run scored, so every promoted candidate is a
+        store hit."""
         designs = _mixed_candidates(
             small_jacobi2d, _space(small_jacobi2d)
         )
-        path = tmp_path / "search.jsonl"
-        with SearchCheckpoint(path) as ck:
-            self._driver(ck).run(iter(designs), _budget())
-        with SearchCheckpoint(path) as ck:
-            changed = self._driver(ck, chunk_size=8)
-            with pytest.raises(StoreError, match="different config"):
-                changed.run(iter(designs), _budget())
+        first, _driver = _search(tmp_path, designs, 16, "pareto")
+        again, driver = _search(tmp_path, designs, chunk_size, screen)
+        assert driver.report.tier1_evaluations == 0
+        assert again.stats.store_hits > 0
+        _assert_same_best(again, first)
 
-    def test_sharded_meta_is_refused(self, tmp_path, small_jacobi2d):
-        """A search recorded with a ``"shard"`` meta field (written by
-        versions that could shard a stream) never replays."""
+    def test_reordered_stream_over_filled_store(
+        self, tmp_path, small_jacobi2d
+    ):
         designs = _mixed_candidates(
             small_jacobi2d, _space(small_jacobi2d)
         )
-        budget = _budget()
-        path = tmp_path / "search.jsonl"
-        with SearchCheckpoint(path) as ck:
-            driver = self._driver(ck)
-            ck.begin("test", dict(driver._meta(budget), shard=[0, 1]))
-            with pytest.raises(StoreError, match="different config"):
-                driver.run(iter(designs), budget)
+        _search(tmp_path, designs, screen=None)  # scores every design
+        reordered = designs[::-1]
+        result, driver = _search(tmp_path, reordered)
+        fresh = SearchDriver(
+            evaluator=CandidateEvaluator(), chunk_size=16
+        ).run(iter(reordered), _budget())
+        assert driver.report.tier1_evaluations == 0
+        _assert_same_best(result, fresh)
+        assert _signature_view(result.frontier) == _signature_view(
+            fresh.frontier
+        )
 
     def test_optimize_full_kinds_share_one_checkpoint(self, tmp_path):
-        """Each kind's search gets its own id from its stream identity:
-        no kind replays another's chunks, and a rerun replays all three
-        and scores nothing."""
+        """The three kinds' searches share one store; a re-run on it
+        evaluates nothing."""
         spec = jacobi_2d(grid=(64, 64), iterations=16)
         knobs = dict(unroll=2, max_kernels=4, max_fused_depth=8)
         reference = optimize_full(spec, **knobs)
-        path = tmp_path / "search.jsonl"
-        with SearchCheckpoint(path) as ck:
-            first = optimize_full(spec, driver=self._driver(ck), **knobs)
-        with SearchCheckpoint(path) as ck:
-            driver = self._driver(ck)
-            second = optimize_full(spec, driver=driver, **knobs)
+        runs = []
+        for _ in range(2):
+            with DesignStore(tmp_path) as store:
+                driver = SearchDriver(
+                    evaluator=CandidateEvaluator(store=store),
+                    chunk_size=16,
+                )
+                runs.append(optimize_full(spec, driver=driver, **knobs))
         assert driver.evaluator.stats.evaluated == 0
+        assert driver.evaluator.stats.store_hits > 0
         for kind, ref in reference.items():
-            _assert_same_best(first[kind], ref)
-            _assert_same_best(second[kind], ref)
+            for run in runs:
+                _assert_same_best(run[kind], ref)
 
-    def test_nondeterministic_stream_raises(
-        self, tmp_path, small_jacobi2d
-    ):
-        designs = _mixed_candidates(
-            small_jacobi2d, _space(small_jacobi2d)
-        )
-        path = tmp_path / "search.jsonl"
-        with SearchCheckpoint(path) as ck:
-            self._driver(ck).run(iter(designs), _budget())
-        with SearchCheckpoint(path) as ck:
-            with pytest.raises(StoreError, match="deterministic"):
-                # Same chunks, but the final chunk is short: the
-                # recorded n no longer matches the enumeration.
-                self._driver(ck).run(iter(designs[:-3]), _budget())
-
-    def test_sigkill_mid_search_then_resume(
-        self, tmp_path, small_jacobi2d
-    ):
-        """A real SIGKILL mid-chunk leaves a resumable checkpoint."""
-        path = tmp_path / "search.jsonl"
+    def test_sigkill_mid_search_then_resume(self, tmp_path):
+        """A real SIGKILL mid-search leaves a store the re-run resumes
+        from."""
         script = (
             "from repro.dse import CandidateEvaluator, DesignSpace, "
             "ResourceBudget, SearchDriver, baseline_candidates\n"
             "from repro.fpga.resources import VIRTEX7_690T\n"
             "from repro.stencil import jacobi_2d\n"
-            "from repro.store import SearchCheckpoint\n"
-            "spec = jacobi_2d(grid=(32, 32), iterations=8)\n"
+            "from repro.store import DesignStore\n"
+            "spec = jacobi_2d(grid=(64, 64), iterations=16)\n"
             "space = DesignSpace.default(spec, (2, 2))\n"
-            f"with SearchCheckpoint({str(path)!r}) as ck:\n"
+            f"with DesignStore({str(tmp_path)!r}) as store:\n"
             "    driver = SearchDriver(\n"
-            "        evaluator=CandidateEvaluator(),\n"
-            "        chunk_size=8, checkpoint=ck, search_key='kill')\n"
+            "        evaluator=CandidateEvaluator(store=store),\n"
+            "        chunk_size=8)\n"
             "    driver.run(\n"
             "        baseline_candidates(space),\n"
             "        ResourceBudget.from_device(VIRTEX7_690T))\n"
         )
         env = dict(os.environ)
-        env[CRASH_ENV] = "5"  # meta + 3 chunks durable, killed on the 5th append
+        # The store journals its records in batches of 32: the fourth
+        # batch tears at the search's 100th record (of 169), so 99
+        # survive.
+        env[CRASH_ENV] = "100"
         src = os.path.join(
             os.path.dirname(
                 os.path.dirname(
@@ -447,24 +445,21 @@ class TestCheckpointResume:
             timeout=120,
         )
         assert proc.returncode == -signal.SIGKILL, proc.stderr
-        spec = jacobi_2d(grid=(32, 32), iterations=8)
+        spec = jacobi_2d(grid=(64, 64), iterations=16)
         space = DesignSpace.default(spec, (2, 2))
-        budget = _budget()
-        with SearchCheckpoint(path) as ck:
-            resumed = SearchDriver(
-                evaluator=CandidateEvaluator(),
-                chunk_size=8,
-                checkpoint=ck,
-                search_key="kill",
-            )
-            result = resumed.run(baseline_candidates(space), budget)
-        assert resumed.report.replayed_chunks == 3
-        fresh = SearchDriver(
-            evaluator=CandidateEvaluator(), chunk_size=8
-        ).run(baseline_candidates(space), budget)
-        _assert_same_best(result, fresh)
+        result, resumed = _search(
+            tmp_path, baseline_candidates(space), chunk_size=8
+        )
+        fresh = SearchDriver(evaluator=CandidateEvaluator(), chunk_size=8)
+        expected = fresh.run(baseline_candidates(space), _budget())
+        assert result.stats.store_hits == 99
+        assert (
+            resumed.report.tier1_evaluations
+            == fresh.report.tier1_evaluations - 99
+        )
+        _assert_same_best(result, expected)
         assert _signature_view(result.frontier) == _signature_view(
-            fresh.frontier
+            expected.frontier
         )
 
 
@@ -572,38 +567,28 @@ class TestTieredSearchProperty:
             spec, counts, max_fused_depth=max_depth
         )
         designs = _mixed_candidates(spec, space)
-        budget = _budget()
-        path = tmp_path_factory.mktemp("search") / "ck.jsonl"
-
-        def driver(ck):
-            return SearchDriver(
-                evaluator=CandidateEvaluator(),
-                chunk_size=chunk_size,
-                screen=screen,
-                checkpoint=ck,
-                search_key="prop",
-            )
-
-        with SearchCheckpoint(path) as ck:
-            try:
-                driver(ck).run(
-                    iter(designs[: resume_at * chunk_size]), budget
-                )
-            except DesignSpaceError:
-                pass  # truncated prefix may hold no feasible design
-        with SearchCheckpoint(path) as ck:
-            resumed = driver(ck)
-            result = resumed.run(iter(designs), budget)
-        assert resumed.report.replayed_chunks == min(
-            resume_at,
-            (len(designs) + chunk_size - 1) // chunk_size,
-        )
+        path = tmp_path_factory.mktemp("search")
+        try:
+            _search(path, designs[: resume_at * chunk_size], chunk_size, screen)
+        except DesignSpaceError:
+            pass  # truncated prefix may hold no feasible design
+        with DesignStore(path) as store:
+            stored = len(store)
+        result, resumed = _search(path, designs, chunk_size, screen)
         reference = SearchDriver(
             evaluator=CandidateEvaluator(),
             chunk_size=chunk_size,
             screen=screen,
-        ).run(iter(designs), budget)
-        _assert_same_best(result, reference)
+        )
+        expected = reference.run(iter(designs), _budget())
+        # The prefix's chunks come back from the store; the rest is
+        # scored exactly as a fresh search scores it.
+        assert result.stats.store_hits <= stored
+        assert (
+            result.stats.store_hits + resumed.report.tier1_evaluations
+            == reference.report.tier1_evaluations
+        )
+        _assert_same_best(result, expected)
         assert _signature_view(result.frontier) == _signature_view(
-            reference.frontier
+            expected.frontier
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from repro.experiments.runner import main
 
 
@@ -48,8 +50,8 @@ def test_program_command_emits_pipeline(tmp_path, capsys):
     assert any(name.endswith("_pipeline_host.c") for name in files)
 
 
-def test_program_command_tiered_resume(tmp_path, capsys):
-    argv = [
+def _tiered_program(store, chunk_size):
+    return [
         "program",
         "--program",
         "blur-sobel-threshold",
@@ -59,14 +61,52 @@ def test_program_command_tiered_resume(tmp_path, capsys):
         "1",
         "--tiered",
         "--chunk-size",
-        "8",
+        str(chunk_size),
         "--store",
-        str(tmp_path),
+        str(store),
     ]
+
+
+def _search_counts(out):
+    """``(chunks, tier-1 evaluations, store hits)`` of a tiered run."""
+    [match] = re.findall(
+        r"^Search: (\d+) chunks, (\d+) tier-1 evaluations, "
+        r"(\d+) store hits$",
+        out,
+        re.MULTILINE,
+    )
+    return tuple(int(n) for n in match)
+
+
+def _design_lines(out):
+    """Everything but the search and store counters."""
+    return [
+        ln
+        for ln in out.splitlines()
+        if not ln.startswith(("Search:", "Store "))
+    ]
+
+
+def test_program_command_tiered_resume(tmp_path, capsys):
+    argv = _tiered_program(tmp_path, 8)
     assert main(argv) == 0
     first = capsys.readouterr().out
-    assert "0 replayed from checkpoint" in first
+    assert _search_counts(first) == (108, 864, 0)
     assert main(argv) == 0
     second = capsys.readouterr().out
-    assert "replayed from checkpoint" in second
-    assert "0 tier-1 evaluations" in second
+    assert _search_counts(second) == (108, 0, 864)
+    assert _design_lines(second) == _design_lines(first)
+
+
+def test_program_command_tiered_rerun_with_changed_chunk_size(
+    tmp_path, capsys
+):
+    """The store answers a re-run whatever its chunk size."""
+    assert main(_tiered_program(tmp_path, 8)) == 0
+    first = capsys.readouterr().out
+    assert main(_tiered_program(tmp_path, 16)) == 0
+    second = capsys.readouterr().out
+    chunks, evaluations, store_hits = _search_counts(second)
+    assert (chunks, evaluations) == (54, 0)
+    assert store_hits > 0
+    assert _design_lines(second) == _design_lines(first)

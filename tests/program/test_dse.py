@@ -1,10 +1,11 @@
-"""Program-level DSE: tiered search, determinism, resume, sharding."""
+"""Program-level DSE: tiered search, determinism, store resume."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.dse.constraints import ResourceBudget
+from repro.dse.evaluator import CandidateEvaluator
 from repro.dse.search import SearchDriver
 from repro.errors import DesignSpaceError
 from repro.fpga.resources import VIRTEX7_690T
@@ -17,7 +18,7 @@ from repro.program import (
     program_candidates,
     stage_design_options,
 )
-from repro.store import SearchCheckpoint
+from repro.store import DesignStore
 
 
 def _program():
@@ -78,30 +79,24 @@ class TestDeterminism:
         )
 
     def test_resume_replays_checkpointed_chunks(self, tmp_path):
-        checkpoint_path = tmp_path / "searches.jsonl"
-        with SearchCheckpoint(checkpoint_path) as checkpoint:
-            driver = SearchDriver(
-                evaluator=ProgramEvaluator(),
-                chunk_size=16,
-                checkpoint=checkpoint,
-            )
-            first = optimize_program(_program(), driver=driver)
-            first_report = driver.report
-            assert first_report.replayed_chunks == 0
-        with SearchCheckpoint(checkpoint_path) as checkpoint:
-            driver = SearchDriver(
-                evaluator=ProgramEvaluator(),
-                chunk_size=16,
-                checkpoint=checkpoint,
-            )
-            second = optimize_program(_program(), driver=driver)
-            report = driver.report
-        assert report.replayed_chunks == report.chunks > 0
+        """A re-run on the store of a finished search scores nothing:
+        every promoted program is a store hit."""
+        runs = []
+        for _ in range(2):
+            with DesignStore(tmp_path) as store:
+                engine = ProgramEvaluator(CandidateEvaluator(store=store))
+                driver = SearchDriver(evaluator=engine, chunk_size=16)
+                result = optimize_program(_program(), driver=driver)
+                runs.append((result, driver.report))
+        (first, first_report), (second, report) = runs
+        assert first_report.tier1_evaluations > 0
         assert report.tier1_evaluations == 0
+        assert second.stats.store_hits == report.promoted > 0
         assert (
             second.best.design.signature()
             == first.best.design.signature()
         )
+        assert second.best.predicted_cycles == first.best.predicted_cycles
 
 
 class TestIndependentBaseline:

@@ -23,7 +23,6 @@ from repro.program import (
     fdtd_two_field,
     compose_cycles,
     compose_resources,
-    estimate_program_batch,
     forwardable_edges,
     forwarding_savings,
     lower_bound_program_batch,
@@ -31,6 +30,7 @@ from repro.program import (
     predict_program_batch,
     program_candidates,
     program_lower_bound,
+    screen_program_batch,
     stage_design_options,
 )
 from repro.tiling.baseline import make_baseline_design
@@ -176,7 +176,7 @@ class TestBatchEngine:
     def test_batch_resources_and_feasibility(self):
         designs = self._candidates()
         stage_engine = CandidateEvaluator()
-        resources = estimate_program_batch(designs, stage_engine)
+        resources, _bounds = screen_program_batch(designs, stage_engine)
         scored = predict_program_batch(designs, stage_engine)
         engine = ProgramEvaluator()
         limit = engine.resources(designs[0]).total.scaled(2.0)
@@ -234,9 +234,10 @@ def _assert_batch_equals_oracle(designs, engine):
         return memo[id(design)]
 
     scored = predict_program_batch(designs, engine)
-    estimated = estimate_program_batch(designs, engine)
+    estimated, screened = screen_program_batch(designs, engine)
     bounds = lower_bound_program_batch(designs, engine)
-    assert len(scored) == len(estimated) == len(bounds) == len(designs)
+    assert len(scored) == len(estimated) == len(screened) == len(designs)
+    assert len(bounds) == len(designs)
     credited = spilled = 0
     for i, design in enumerate(designs):
         numbers = [stage(d) for _n, d in design.stage_designs]
@@ -249,6 +250,7 @@ def _assert_batch_equals_oracle(designs, engine):
         assert scored[i][1] == resources
         assert estimated[i] == resources
         assert float(bounds[i]).hex() == bound.hex()
+        assert float(screened[i]).hex() == bound.hex()
         if design.schedule == "coresident":
             forwarded = len(forwardable_edges(design))
             credited += forwarded > 0
@@ -365,3 +367,28 @@ class TestOneStageEngine:
         monkeypatch.setattr(CandidateEvaluator, "__init__", counting_init)
         self._search(engine, tiered)
         assert built == []
+
+    def test_screen_indexes_each_chunk_once(self, monkeypatch):
+        """Tier-0 composes resources and bounds from one stage index
+        per chunk; Tier-1 builds one more per promoted batch."""
+        from repro.program import model as model_module
+
+        builds = []
+        real_init = model_module._StageIndex.__init__
+
+        def counting_init(self, designs):
+            builds.append(len(designs))
+            real_init(self, designs)
+
+        monkeypatch.setattr(
+            model_module._StageIndex, "__init__", counting_init
+        )
+        exhaustive = self._search(ProgramEvaluator(), tiered=False)
+        builds.clear()
+        tiered = self._search(ProgramEvaluator())
+        assert len(builds) == 6  # 3 chunks x (Tier-0 + Tier-1)
+        assert (
+            tiered.best.design.signature()
+            == exhaustive.best.design.signature()
+        )
+        assert tiered.best.predicted_cycles == exhaustive.best.predicted_cycles
