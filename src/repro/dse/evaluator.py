@@ -83,6 +83,10 @@ class DSEResult:
     """Outcome of one exploration run."""
 
     best: EvaluatedDesign
+    #: Candidates the run considered, however each was answered (memo,
+    #: store, Tier-0 screen or model); ``stats.evaluated`` counts the
+    #: model evaluations.  The name stays for the ``dse.evaluated``
+    #: payload key.
     evaluated: int
     feasible: int
     #: All feasible candidates, fastest first (for Pareto analysis).
@@ -749,8 +753,3 @@ class CandidateEvaluator:
         """Drop every memoized evaluation (stats are preserved)."""
         with self._lock:
             self._results.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the lifetime counters."""
-        with self._lock:
-            self.stats = EvaluationStats()

@@ -19,8 +19,8 @@ from repro.errors import DesignSpaceError
 from repro.fpga.estimator import ResourceEstimator
 from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
+from repro.sim.executor import simulate
 from repro.store.backing import BackingStore
-from repro.store.checkpoint import CheckpointedExecutor, SweepCheckpoint
 from repro.tiling.design import StencilDesign
 
 
@@ -72,10 +72,9 @@ class SensitivityAnalyzer:
 
     With a persistent ``store``, every per-board evaluator consults and
     writes through it (each board point gets its own evaluation
-    context, so entries never cross boards); with a ``checkpoint``,
-    simulator measurements are durable too — an interrupted sweep
-    resumed from the same files repeats no completed work and returns
-    identical points.
+    context, so entries never cross boards): an interrupted sweep
+    resumed over the same store repeats no model work, re-measures its
+    points on the deterministic simulator and returns identical points.
     """
 
     def __init__(
@@ -83,15 +82,12 @@ class SensitivityAnalyzer:
         board: BoardSpec = ADM_PCIE_7V3,
         fidelity: Fidelity = Fidelity.REFINED,
         store: Optional[BackingStore] = None,
-        checkpoint: Optional[SweepCheckpoint] = None,
     ):
         self.board = board
         self.fidelity = fidelity
         self.store = store
-        self.checkpoint = checkpoint
         self._estimator = ResourceEstimator()
         self._evaluators: Dict[BoardSpec, CandidateEvaluator] = {}
-        self._executors: Dict[BoardSpec, CheckpointedExecutor] = {}
 
     def _evaluator_for(self, board: BoardSpec) -> CandidateEvaluator:
         evaluator = self._evaluators.get(board)
@@ -105,13 +101,6 @@ class SensitivityAnalyzer:
             self._evaluators[board] = evaluator
         return evaluator
 
-    def _executor_for(self, board: BoardSpec) -> CheckpointedExecutor:
-        executor = self._executors.get(board)
-        if executor is None:
-            executor = CheckpointedExecutor(board, self.checkpoint)
-            self._executors[board] = executor
-        return executor
-
     def stats(self) -> EvaluationStats:
         """Aggregate engine counters across every swept board point."""
         total = EvaluationStats()
@@ -123,7 +112,7 @@ class SensitivityAnalyzer:
         self, design: StencilDesign, board: BoardSpec
     ) -> Tuple[float, float]:
         predicted = self._evaluator_for(board).predict_cycles(design)
-        measured = self._executor_for(board).total_cycles(design)
+        measured = simulate(design, board).total_cycles
         return predicted, measured
 
     def sweep_bandwidth(
@@ -195,9 +184,9 @@ class SensitivityAnalyzer:
         results = []
         for bw in bandwidths_bytes_per_s:
             board = self.board.with_bandwidth(bw)
-            executor = self._executor_for(board)
-            speedup = executor.total_cycles(baseline) / executor.total_cycles(
-                optimized
+            speedup = (
+                simulate(baseline, board).total_cycles
+                / simulate(optimized, board).total_cycles
             )
             results.append((bw, speedup))
         return results

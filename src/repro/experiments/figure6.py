@@ -16,7 +16,7 @@ from repro.dse.optimizer import optimize_heterogeneous, optimize_pipe_shared
 from repro.experiments.configs import TABLE3_CONFIGS
 from repro.experiments.report import render_table
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
-from repro.store.checkpoint import CheckpointedExecutor
+from repro.sim.executor import SimulationExecutor
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,13 @@ def run_figure6(
     benchmarks: Sequence[str] = ("jacobi-2d", "jacobi-3d"),
     board: BoardSpec = ADM_PCIE_7V3,
     evaluator: Optional[CandidateEvaluator] = None,
-    executor: Optional[CheckpointedExecutor] = None,
 ) -> List[Figure6Bar]:
     """Regenerate Fig. 6's breakdown bars on the simulator.
 
-    ``evaluator``/``executor`` follow the same warm-start/resume
-    contract as :func:`repro.experiments.table3.run_table3`.
+    ``evaluator`` follows the same warm-start contract as
+    :func:`repro.experiments.table3.run_table3`.
     """
-    executor = executor or CheckpointedExecutor(board)
+    executor = SimulationExecutor(board)
     bars: List[Figure6Bar] = []
     for name in benchmarks:
         config = TABLE3_CONFIGS[name]
@@ -57,13 +56,13 @@ def run_figure6(
             ("pipe-shared", pipe),
             ("heterogeneous", hetero),
         ):
-            total_cycles, fractions = executor.breakdown(design)
+            result = executor.run(design)
             bars.append(
                 Figure6Bar(
                     benchmark=name,
                     design_label=label,
-                    total_cycles=total_cycles,
-                    fractions=fractions,
+                    total_cycles=result.total_cycles,
+                    fractions=result.breakdown.fractions(),
                 )
             )
     return bars

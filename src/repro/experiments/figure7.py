@@ -22,7 +22,7 @@ from repro.experiments.configs import TABLE3_CONFIGS
 from repro.experiments.report import render_table
 from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
-from repro.store.checkpoint import CheckpointedExecutor
+from repro.sim.executor import SimulationExecutor
 from repro.tiling.heterogeneous import make_heterogeneous_design
 
 #: The six benchmarks of the paper's Fig. 7 panels.
@@ -138,14 +138,13 @@ def run_figure7(
     board: BoardSpec = ADM_PCIE_7V3,
     fidelity: Fidelity = Fidelity.REFINED,
     evaluator: Optional[CandidateEvaluator] = None,
-    executor: Optional[CheckpointedExecutor] = None,
     check_execution: bool = False,
 ) -> List[Figure7Series]:
     """Regenerate the model-validation sweeps.
 
-    ``evaluator``/``executor`` follow the same warm-start/resume
-    contract as :func:`repro.experiments.table3.run_table3`; the
-    evaluator must match ``board``/``fidelity`` when supplied.
+    ``evaluator`` follows the same warm-start contract as
+    :func:`repro.experiments.table3.run_table3`; it must match
+    ``board``/``fidelity`` when supplied.
 
     With ``check_execution=True``, every swept design point is also
     *executed* on real data (a one-region scaled replica — the full
@@ -156,7 +155,7 @@ def run_figure7(
     evaluator = evaluator or CandidateEvaluator(
         board=board, fidelity=fidelity
     )
-    executor = executor or CheckpointedExecutor(board)
+    executor = SimulationExecutor(board)
     series: List[Figure7Series] = []
     for name in benchmarks:
         config = TABLE3_CONFIGS[name]
@@ -171,7 +170,7 @@ def run_figure7(
                 spec, region, config.counts, h, config.unroll
             )
             predicted.append(evaluator.predict_cycles(design))
-            measured.append(executor.total_cycles(design))
+            measured.append(executor.run(design).total_cycles)
             if check_execution:
                 _check_execution(config, region, h)
         series.append(

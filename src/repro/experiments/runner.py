@@ -33,12 +33,14 @@ when a C compiler and ``cffi`` are present, else on the numpy
 interpreter; see ``docs/SIM.md``).
 
 Every experiment/tool accepts ``--store DIR`` to persist design
-evaluations and sweep measurements: a rerun (or a run resumed after a
-crash) warm-starts from the stored results and produces byte-identical
-reports.  A ``--tiered`` search resumes the same way, whatever its
-``--chunk-size``: candidates it already scored are store hits.  A
-server started with ``--store DIR`` answers repeat queries from the
-same store across restarts.  The store itself is managed with::
+evaluations under ``DIR/results``: a rerun (or a run resumed after a
+crash) warm-starts its searches from the stored results, re-measures
+its design points on the deterministic simulator and produces
+byte-identical reports.  A ``--tiered`` search resumes the same way,
+whatever its ``--chunk-size``: candidates it already scored are store
+hits.  A server started with ``--store DIR`` answers repeat queries
+from the same store across restarts.  The store itself is managed
+with::
 
     python -m repro.experiments store stats      --store DIR
     python -m repro.experiments store compact    --store DIR
@@ -97,25 +99,20 @@ def _parse_benchmarks(value: Optional[str], default: Sequence[str]):
 
 
 class _StoreSession:
-    """The CLI's persistence bundle: design store + sweep checkpoint.
+    """The CLI's persistence: the design store under ``--store DIR``.
 
-    Built from ``--store DIR``; without the flag every accessor returns
-    a plain (non-persistent) engine/executor, so the command paths are
-    identical either way.
+    Without the flag every accessor returns a plain (non-persistent)
+    engine, so the command paths are identical either way.
     """
 
     RESULTS_DIR = "results"
-    SWEEPS_FILE = "sweeps.jsonl"
 
     def __init__(self, path: Optional[str]):
         self.store = None
-        self.checkpoint = None
         if path:
-            from repro.store import DesignStore, SweepCheckpoint
+            from repro.store import DesignStore
 
-            root = pathlib.Path(path)
-            self.store = DesignStore(root / self.RESULTS_DIR)
-            self.checkpoint = SweepCheckpoint(root / self.SWEEPS_FILE)
+            self.store = DesignStore(pathlib.Path(path) / self.RESULTS_DIR)
 
     def evaluator(self):
         from repro.dse.evaluator import CandidateEvaluator
@@ -131,12 +128,6 @@ class _StoreSession:
 
         return SearchDriver(evaluator=evaluator, chunk_size=args.chunk_size)
 
-    def executor(self, board=None):
-        from repro.opencl.platform import ADM_PCIE_7V3
-        from repro.store.checkpoint import CheckpointedExecutor
-
-        return CheckpointedExecutor(board or ADM_PCIE_7V3, self.checkpoint)
-
     def summary_lines(self) -> List[str]:
         if self.store is None:
             return []
@@ -145,15 +136,12 @@ class _StoreSession:
         return [
             f"Store {stats['root']}: {stats['entries']} entries "
             f"({runtime['hits']} hits, {runtime['misses']} misses, "
-            f"{runtime['writes']} writes this run); "
-            f"checkpoint {len(self.checkpoint)} steps"
+            f"{runtime['writes']} writes this run)"
         ]
 
     def close(self) -> None:
         if self.store is not None:
             self.store.close()
-        if self.checkpoint is not None:
-            self.checkpoint.close()
 
 
 def _build_designs(benchmark: str, evaluator, driver):
@@ -291,7 +279,7 @@ def _cmd_program(args, session: _StoreSession) -> List[str]:
         f"Best: {synth.design.describe()}",
         f"Predicted {synth.predicted_cycles:.3e} cycles, "
         f"{synth.resources.total}",
-        f"DSE: {synth.dse.evaluated} evaluated, "
+        f"DSE: {synth.dse.evaluated} candidates, "
         f"{synth.dse.feasible} feasible",
     ]
     if driver is not None:
@@ -430,8 +418,8 @@ def _cmd_submit(args) -> List[str]:
             f"Workload: {result['workload']}",
             f"Design:   {design['summary']}",
             f"Predicted {result['predicted_cycles']:.3e} cycles; "
-            f"DSE evaluated {result['dse']['evaluated']} candidates "
-            f"({result['dse']['feasible']} feasible)",
+            f"DSE: {result['dse']['evaluated']} candidates, "
+            f"{result['dse']['feasible']} feasible",
         ]
     )
     if args.output:
@@ -495,8 +483,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="DIR",
         help=(
-            "persist design evaluations and sweep measurements under "
-            "DIR; reruns and crash-resumed runs warm-start from it"
+            "persist design evaluations under DIR; reruns and "
+            "crash-resumed runs warm-start their searches from it"
         ),
     )
     parser.add_argument(
@@ -769,18 +757,12 @@ def _dispatch(args, session: _StoreSession) -> List[str]:
                 run_table3(
                     _parse_benchmarks(args.benchmarks, PAPER_SUITE),
                     evaluator=session.evaluator(),
-                    executor=session.executor(),
                 )
             )
         )
     if args.experiment in ("figure6", "all"):
         outputs.append(
-            render_figure6(
-                run_figure6(
-                    evaluator=session.evaluator(),
-                    executor=session.executor(),
-                )
-            )
+            render_figure6(run_figure6(evaluator=session.evaluator()))
         )
     if args.experiment in ("figure7", "all"):
         outputs.append(
@@ -788,7 +770,6 @@ def _dispatch(args, session: _StoreSession) -> List[str]:
                 run_figure7(
                     _parse_benchmarks(args.benchmarks, FIGURE7_BENCHMARKS),
                     evaluator=session.evaluator(),
-                    executor=session.executor(),
                     check_execution=args.execute_check,
                 )
             )

@@ -16,11 +16,10 @@ from repro.dse.evaluator import CandidateEvaluator
 from repro.dse.optimizer import optimize_heterogeneous
 from repro.experiments.configs import PAPER_TABLE3, TABLE3_CONFIGS
 from repro.experiments.report import format_shape, render_table
-from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import ResourceVector
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
+from repro.sim.executor import SimulationExecutor
 from repro.stencil.library import PAPER_SUITE
-from repro.store.checkpoint import CheckpointedExecutor
 from repro.tiling.design import StencilDesign
 
 
@@ -41,27 +40,11 @@ class Table3Row:
         """Simulated baseline/heterogeneous latency ratio."""
         return self.baseline_cycles / self.hetero_cycles
 
-    @property
-    def paper_speedup(self) -> Optional[float]:
-        """The paper's reported speedup for this benchmark."""
-        row = PAPER_TABLE3.get(self.benchmark)
-        return row.speedup if row else None
-
-    @property
-    def bram_saving(self) -> float:
-        """Fractional BRAM reduction of the heterogeneous design."""
-        if self.baseline_resources.bram18 == 0:
-            return 0.0
-        return 1.0 - (
-            self.hetero_resources.bram18 / self.baseline_resources.bram18
-        )
-
 
 def run_table3(
     benchmarks: Sequence[str] = PAPER_SUITE,
     board: BoardSpec = ADM_PCIE_7V3,
     evaluator: Optional[CandidateEvaluator] = None,
-    executor: Optional[CheckpointedExecutor] = None,
 ) -> List[Table3Row]:
     """Regenerate Table 3's rows on the simulator.
 
@@ -70,14 +53,11 @@ def run_table3(
         board: target platform.
         evaluator: shared scoring engine — pass a store-backed one
             (``CandidateEvaluator(store=...)``) to warm-start the
-            heterogeneous search from persisted evaluations.
-        executor: measurement front door — pass a checkpointed one to
-            make the simulator measurements resumable.
+            heterogeneous search from persisted evaluations; the
+            simulator re-measures both designs on every run.
     """
-    evaluator = evaluator or CandidateEvaluator(
-        board=board, estimator=ResourceEstimator()
-    )
-    executor = executor or CheckpointedExecutor(board)
+    evaluator = evaluator or CandidateEvaluator(board=board)
+    executor = SimulationExecutor(board)
     rows: List[Table3Row] = []
     for name in benchmarks:
         config = TABLE3_CONFIGS[name]
@@ -93,8 +73,8 @@ def run_table3(
                 heterogeneous=hetero,
                 baseline_resources=evaluator.resources(baseline).total,
                 hetero_resources=evaluator.resources(hetero).total,
-                baseline_cycles=executor.total_cycles(baseline),
-                hetero_cycles=executor.total_cycles(hetero),
+                baseline_cycles=executor.run(baseline).total_cycles,
+                hetero_cycles=executor.run(hetero).total_cycles,
             )
         )
     return rows

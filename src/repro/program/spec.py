@@ -208,11 +208,6 @@ class ProgramSpec:
         """Number of stages."""
         return len(self.stages)
 
-    @property
-    def stage_names(self) -> Tuple[str, ...]:
-        """Stage names in declaration order."""
-        return tuple(stage.name for stage in self.stages)
-
     def stage(self, name: str) -> ProgramStage:
         """Look up a stage by name."""
         for stage in self.stages:
@@ -233,13 +228,6 @@ class ProgramSpec:
     def edges_from(self, stage_name: str) -> Tuple[ProgramEdge, ...]:
         """Edges consuming a stage's output, in declaration order."""
         return tuple(e for e in self.edges if e.producer == stage_name)
-
-    def external_inputs(self, stage_name: str) -> Tuple[str, ...]:
-        """A stage's inputs not fed by any edge (default-initialized)."""
-        spec = self.stage(stage_name).spec
-        fed = {e.target for e in self.edges_into(stage_name)}
-        names = tuple(spec.pattern.fields) + tuple(spec.pattern.aux)
-        return tuple(n for n in names if n not in fed)
 
     def terminal_stages(self) -> Tuple[str, ...]:
         """Stages whose output feeds no other stage (program outputs)."""

@@ -125,15 +125,6 @@ class KernelCache:
         _log.debug("built jit kernel %s in %.3fs", key[:12], elapsed)
         return target
 
-    def get_or_build(
-        self, key: str, source: str, compiler: CompilerInfo
-    ) -> pathlib.Path:
-        """Cached shared object for ``key``, building it on a miss."""
-        hit = self.lookup(key)
-        if hit is not None:
-            return hit
-        return self.build(key, source, compiler)
-
     def clear(self) -> int:
         """Delete every cached artifact; returns the number removed."""
         removed = 0

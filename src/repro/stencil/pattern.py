@@ -196,10 +196,6 @@ class StencilPattern:
         """Number of state fields updated each iteration."""
         return len(self.fields)
 
-    def taps_for(self, fname: str) -> Tuple[Tap, ...]:
-        """Taps of the update rule for field ``fname``."""
-        return self.updates[fname].taps
-
     def points_per_cell(self) -> int:
         """Total taps evaluated per grid cell per iteration."""
         return sum(len(u.taps) for u in self.updates.values())
@@ -235,10 +231,6 @@ class Stage:
     """
 
     updates: Mapping[str, FieldUpdate]
-
-    def field_names(self) -> Tuple[str, ...]:
-        """Fields written by this stage."""
-        return tuple(self.updates)
 
 
 def compose_stages(

@@ -12,12 +12,14 @@ makes them durable artifacts instead of per-process throwaways:
   :class:`DesignStore` and the :class:`BackingStore` protocol the
   :class:`~repro.dse.evaluator.CandidateEvaluator` consults on miss
   and writes through on evaluation.
-- :mod:`repro.store.checkpoint` — :class:`SweepCheckpoint` and
-  :class:`CheckpointedExecutor` for resumable experiment sweeps.
 
-A killed or repeated tiered search resumes through the design store
-itself: run it again on an engine over the same store and finished
-candidates come back as store hits (see ``docs/SEARCH.md``).
+The design store is the one durable record of experiment work.  A
+killed or repeated tiered search resumes through it: run it again on
+an engine over the same store and finished candidates come back as
+store hits (see ``docs/SEARCH.md``).  A killed or repeated experiment
+sweep resumes the same way: its searches are store hits, and its
+design points are re-measured on the deterministic simulator, so the
+report comes out byte-identical.
 
 Typical warm-start usage::
 
@@ -40,7 +42,6 @@ from repro.store.backing import (
     digest,
     evaluation_context,
 )
-from repro.store.checkpoint import CheckpointedExecutor, SweepCheckpoint
 from repro.store.index import (
     JOURNAL_NAME,
     SNAPSHOT_NAME,
@@ -63,8 +64,6 @@ __all__ = [
     "design_key",
     "digest",
     "evaluation_context",
-    "SweepCheckpoint",
-    "CheckpointedExecutor",
     "Journal",
     "canonical_json",
     "decode_record",

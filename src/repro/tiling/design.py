@@ -395,10 +395,6 @@ class StencilDesign:
         """Copy with a different cone depth ``h``."""
         return replace(self, fused_depth=fused_depth)
 
-    def with_tile_grid(self, tile_grid: TileGrid) -> "StencilDesign":
-        """Copy with a different tile grid."""
-        return replace(self, tile_grid=tile_grid)
-
 
 def peak_face_transfer(
     grid: TileGrid, radius: Sequence[int], fused_depth: int

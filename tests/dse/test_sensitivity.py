@@ -5,6 +5,7 @@ import pytest
 from repro.dse.sensitivity import SensitivityAnalyzer
 from repro.errors import DesignSpaceError
 from repro.stencil import jacobi_2d
+from repro.store import DesignStore
 from repro.tiling import make_baseline_design, make_heterogeneous_design
 
 
@@ -89,3 +90,24 @@ class TestSpeedupSweep:
         speedups = [s for _, s in sweep]
         assert speedups[0] > speedups[-1]
         assert all(s > 1.0 for s in speedups)
+
+
+class TestSensitivityResume:
+    def test_interrupted_sweep_resumes_identically(
+        self, tmp_path, small_jacobi2d
+    ):
+        design = make_baseline_design(small_jacobi2d, (8, 8), (2, 2), 4)
+        bandwidths = [4e9, 8e9, 16e9]
+        with DesignStore(tmp_path / "s") as store:
+            cold = SensitivityAnalyzer(store=store)
+            first = cold.sweep_bandwidth(design, bandwidths)
+            assert cold.stats().evaluated == len(bandwidths)
+        with DesignStore(tmp_path / "s") as store:
+            resumed = SensitivityAnalyzer(store=store)
+            second = resumed.sweep_bandwidth(design, bandwidths)
+            # Predictions come from the store and the deterministic
+            # simulator re-measures: nothing re-evaluates, and the
+            # points are identical.
+            assert resumed.stats().evaluated == 0
+            assert resumed.stats().store_hits == len(bandwidths)
+        assert second == first

@@ -95,6 +95,8 @@ def test_program_command_tiered_resume(tmp_path, capsys):
     assert main(argv) == 0
     second = capsys.readouterr().out
     assert _search_counts(second) == (108, 0, 864)
+    # The DSE line counts candidates, which the store answered here.
+    assert "DSE: 864 candidates, 864 feasible" in second.splitlines()
     assert _design_lines(second) == _design_lines(first)
 
 

@@ -13,7 +13,13 @@ from repro.experiments.runner import main
 from repro.fpga.flexcl import FlexCLEstimator
 from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3
-from repro.store import CRASH_ENV, DesignStore, evaluation_context
+from repro.store import (
+    CRASH_ENV,
+    STORE_SCHEMA,
+    DesignStore,
+    encode_record,
+    evaluation_context,
+)
 from repro.tiling import make_baseline_design
 
 _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -142,3 +148,55 @@ class TestCrashResume:
         stats = _run_cli(["store", "stats", "--store", str(crashed_dir)])
         assert stats.returncode == 0
         assert json.loads(stats.stdout)["entries"] > 0
+
+
+#: Keys an older version's sweep checkpoint used for the two
+#: measurements of ``table3 --benchmarks jacobi-1d`` (baseline and
+#: heterogeneous total cycles).
+_OLD_SWEEP_KEYS = (
+    "d2f7c190f097c7cb74e9473643876edebb624c146549896c2822fa6e172af580",
+    "593fedc38719eb0bc61e0de25c26d550d7ea1ae5968e53637a2d12ea1c7387a9",
+)
+
+
+def _write_old_sweeps(root: pathlib.Path) -> bytes:
+    """A ``sweeps.jsonl`` in the older format, with poisoned payloads:
+    a run that read it would print different cycles."""
+    root.mkdir(parents=True)
+    data = "".join(
+        encode_record({"key": key, "payload": 1.0, "v": STORE_SCHEMA})
+        + "\n"
+        for key in _OLD_SWEEP_KEYS
+    ).encode("utf-8")
+    (root / "sweeps.jsonl").write_bytes(data)
+    return data
+
+
+class TestOneDurableLayer:
+    TABLE3 = ["table3", "--benchmarks", "jacobi-1d"]
+
+    def test_commands_leave_no_sweep_journal(self, tmp_path, capsys):
+        root = tmp_path / "store"
+        program = [
+            "program",
+            "--program",
+            "blur-sobel-threshold",
+            "--grid",
+            "32x32",
+            "--iterations",
+            "1",
+        ]
+        for argv in (self.TABLE3, program):
+            assert main(argv + ["--store", str(root)]) == 0
+            assert "checkpoint" not in capsys.readouterr().out
+        assert (root / "results").is_dir()
+        assert not (root / "sweeps.jsonl").exists()
+
+    def test_old_sweep_journal_is_ignored(self, tmp_path, capsys):
+        assert main(self.TABLE3 + ["--store", str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr().out
+        old = tmp_path / "old"
+        written = _write_old_sweeps(old)
+        assert main(self.TABLE3 + ["--store", str(old)]) == 0
+        assert _report_text(capsys.readouterr().out) == _report_text(fresh)
+        assert (old / "sweeps.jsonl").read_bytes() == written
