@@ -8,7 +8,6 @@ from repro.dse.space import (
 from repro.dse.constraints import ResourceBudget
 from repro.dse.evaluator import (
     CandidateEvaluator,
-    CandidateTrace,
     DSEResult,
     EvaluatedDesign,
     EvaluationStats,
@@ -40,7 +39,6 @@ __all__ = [
     "parallelism_candidates",
     "ResourceBudget",
     "CandidateEvaluator",
-    "CandidateTrace",
     "DSEResult",
     "EvaluatedDesign",
     "EvaluationStats",

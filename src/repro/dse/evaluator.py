@@ -23,11 +23,16 @@ the benchmarks.  Every entry point runs the same four steps:
    :func:`~repro.fpga.batch.estimate_batch`), whose numbers equal the
    scalar Eq. 1-11 model's bitwise.  A batch holding a design outside
    their exact-parity range is scored by the scalar model instead.
-4. **Epilogue** — each candidate gets the budget check, its counters
-   and trace event, and write-through of fresh results to the store.
+4. **Epilogue** — each candidate gets the budget check, its counters,
+   and write-through of fresh results to the store.
 
-Every run emits an :class:`EvaluationStats` record and can stream
-per-candidate :class:`CandidateTrace` events to an observer hook.
+Every run emits an :class:`EvaluationStats` record.  An optional
+``checkpoint`` callable is the engine's one cancellation point: each
+batch calls it on entry, after memo and store resolution, and after
+scoring but before anything is recorded, so raising from it abandons
+the batch with no memo entry or store write made for it.  A cancel
+that arrives while a batch is being scored waits for that scoring,
+and an exhaustive :meth:`~CandidateEvaluator.explore` is one batch.
 
 :class:`~repro.program.evaluator.ProgramEvaluator` runs program
 candidates through this same path: it overrides only the key
@@ -168,27 +173,8 @@ class EvaluationStats:
         )
 
 
-@dataclass(frozen=True)
-class CandidateTrace:
-    """One per-candidate observability event.
-
-    Attributes:
-        design: the candidate.
-        outcome: ``"evaluated"``, ``"cache-hit"``, ``"store-hit"`` or
-            ``"infeasible"``.
-        predicted_cycles: model prediction when one was produced.
-        seq: monotonic per-evaluator sequence id, assigned under the
-            engine lock at emit time — when several threads share one
-            engine, sorting by ``seq`` recovers a total order.
-    """
-
-    design: StencilDesign
-    outcome: str
-    predicted_cycles: Optional[float] = None
-    seq: int = -1
-
-
-TraceHook = Callable[[CandidateTrace], None]
+def _no_checkpoint() -> None:
+    """The checkpoint of an engine nobody cancels."""
 
 
 def _fits(resources: DesignResources, budget: Optional[ResourceBudget]) -> bool:
@@ -212,7 +198,11 @@ class CandidateEvaluator:
             omitted); scores batches the vectorized engine cannot.
         model: scalar performance model (one is built when omitted);
             same role.
-        trace: optional per-candidate observer hook.
+        checkpoint: called with no arguments at every batch boundary
+            (see the module docstring) on the thread scoring the batch;
+            whatever it raises abandons the batch and propagates.  The
+            synthesis service raises
+            :class:`~repro.errors.JobCancelledError` from it.
         store: optional persistent backing store — consulted on every
             memo miss, written through on every fresh evaluation.
             Entries are content-addressed under this evaluator's board,
@@ -232,7 +222,7 @@ class CandidateEvaluator:
         fidelity: Fidelity = Fidelity.REFINED,
         estimator: Optional[ResourceEstimator] = None,
         model: Optional[PerformanceModel] = None,
-        trace: Optional[TraceHook] = None,
+        checkpoint: Optional[Callable[[], None]] = None,
         store: Optional[BackingStore] = None,
         max_memo_entries: Optional[int] = None,
     ):
@@ -249,7 +239,7 @@ class CandidateEvaluator:
         self.fidelity = model.fidelity
         self.estimator = estimator
         self.model = model
-        self.trace = trace
+        self.checkpoint = checkpoint or _no_checkpoint
         self.store = store
         self.max_memo_entries = max_memo_entries
         self.store_context = (
@@ -261,7 +251,6 @@ class CandidateEvaluator:
         self.stats = EvaluationStats()
         self._results: "OrderedDict[Hashable, EvaluatedDesign]" = OrderedDict()
         self._lock = threading.Lock()
-        self._emit_seq = 0
 
     # -- store + memo plumbing -------------------------------------------------
 
@@ -368,7 +357,7 @@ class CandidateEvaluator:
         scored by the scalar model or estimator instead — same
         numbers, bitwise.  ``resources``, when given, are the designs'
         estimates already in hand (Tier-0's), so only the model runs.
-        Touches no memo, store, stats or trace.
+        Touches no memo, store or stats.
         """
         if resources is None:
             resources = self._estimate(designs)
@@ -389,8 +378,10 @@ class CandidateEvaluator:
         bound evicts them meanwhile.  ``budget=None`` skips the budget
         check (the :meth:`predict_cycles` / :meth:`resources` lookups).
         ``resources`` (aligned with ``candidates``) spares the fresh
-        designs the resource estimator.
+        designs the resource estimator.  :attr:`checkpoint` runs before
+        each of the three phases.
         """
+        self.checkpoint()
         keys = [self._key(design) for design in candidates]
         known: Dict[Hashable, EvaluatedDesign] = {}
         stored: Dict[Hashable, Optional[StoredResult]] = {}
@@ -406,6 +397,7 @@ class CandidateEvaluator:
             entry = stored[key] = self._store_lookup(candidates[j])
             if entry is None or not entry.complete:
                 fresh[key] = j
+        self.checkpoint()
         first = list(fresh.values())
         known_resources = (
             None if resources is None else [resources[j] for j in first]
@@ -416,6 +408,7 @@ class CandidateEvaluator:
                 self._score([candidates[j] for j in first], known_resources),
             )
         )
+        self.checkpoint()
         return [
             self._finish(design, key, budget, stats, known, stored, scored)
             for design, key in zip(candidates, keys)
@@ -431,7 +424,7 @@ class CandidateEvaluator:
         stored: Dict[Hashable, Optional[StoredResult]],
         scored: Dict[Hashable, Tuple[float, DesignResources]],
     ) -> Optional[EvaluatedDesign]:
-        """Per-candidate epilogue: budget check, stats, trace, store.
+        """Per-candidate epilogue: budget check, stats, store.
 
         A fresh result that fails the budget is written through
         (resources only) but not memoized; every other result enters
@@ -443,7 +436,7 @@ class CandidateEvaluator:
         result = known.get(key)
         if result is not None:
             stats.cache_hits += 1
-            return self._admit(design, result, "cache-hit", budget, stats)
+            return self._admit(result, budget, stats)
         entry = stored.get(key) or _NOT_STORED
         if entry.complete:
             stats.store_hits += 1
@@ -451,7 +444,7 @@ class CandidateEvaluator:
                 key, EvaluatedDesign(design, entry.cycles, entry.resources),
                 known,
             )
-            return self._admit(design, result, "store-hit", budget, stats)
+            return self._admit(result, budget, stats)
         cycles, resources = scored[key]
         new_resources = entry.resources is None
         if not new_resources:
@@ -460,7 +453,6 @@ class CandidateEvaluator:
             stats.infeasible += 1
             if new_resources:
                 self._store_record(design, resources=resources)
-            self._emit(design, "infeasible")
             return None
         if entry.cycles is None:
             stats.evaluated += 1
@@ -470,11 +462,9 @@ class CandidateEvaluator:
             stats.store_hits += 1
             if new_resources:
                 self._store_record(design, resources=resources)
-        result = self._remember(
+        return self._remember(
             key, EvaluatedDesign(design, cycles, resources), known
         )
-        self._emit(design, "evaluated", cycles)
-        return result
 
     def _remember(
         self,
@@ -489,37 +479,15 @@ class CandidateEvaluator:
 
     def _admit(
         self,
-        design: StencilDesign,
         result: EvaluatedDesign,
-        outcome: str,
         budget: Optional[ResourceBudget],
         stats: EvaluationStats,
     ) -> Optional[EvaluatedDesign]:
-        """Budget check and trace event for a memo or store answer."""
+        """Budget check for a memo or store answer."""
         if not _fits(result.resources, budget):
             stats.infeasible += 1
-            self._emit(design, "infeasible")
             return None
-        self._emit(design, outcome, result.predicted_cycles)
         return result
-
-    def _emit(
-        self,
-        design: StencilDesign,
-        outcome: str,
-        predicted_cycles: Optional[float] = None,
-    ) -> None:
-        """Send one :class:`CandidateTrace` to the hook, if there is one.
-
-        The event is built only when a hook listens, so untraced
-        scoring creates no per-candidate trace objects.
-        """
-        if self.trace is None:
-            return
-        with self._lock:
-            seq = self._emit_seq
-            self._emit_seq += 1
-        self.trace(CandidateTrace(design, outcome, predicted_cycles, seq))
 
     # -- single-design lookups -------------------------------------------------
 
@@ -640,8 +608,9 @@ class CandidateEvaluator:
         chunks out of their exact-parity range fall back to the scalar
         estimator and bound.  Nothing is memoized — screening a huge
         space leaves the memo untouched, so peak residency stays
-        O(chunk), not O(space).
+        O(chunk), not O(space).  :attr:`checkpoint` runs on entry.
         """
+        self.checkpoint()
         candidates = list(candidates)
         if not candidates:
             return [], [], []

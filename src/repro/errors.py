@@ -87,8 +87,8 @@ class TransientServiceError(ServiceError):
     """A retryable failure inside a job (I/O hiccup, racing resource).
 
     The service worker retries jobs failing with this type (or another
-    type in its ``transient`` tuple) with exponential backoff before
-    declaring the job failed.
+    type in :data:`repro.service.core.DEFAULT_TRANSIENT`) with
+    exponential backoff before declaring the job failed.
     """
 
 

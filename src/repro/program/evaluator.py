@@ -17,10 +17,10 @@ program-specific:
   engines and scalar fallback, and every candidate is composed with
   array operations.
 
-Memo, store lookup and write-through, budget check, stats, trace
-events, ``explore`` and cache management are the stencil engine's, so
-a program search warm-starts, bounds its memo and counts its work
-exactly like a single-stencil one.
+Memo, store lookup and write-through, budget check, stats, the
+batch checkpoints, ``explore`` and cache management are the stencil
+engine's, so a program search warm-starts, bounds its memo, counts its
+work and stops at a cancel exactly like a single-stencil one.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ class ProgramEvaluator(CandidateEvaluator):
     Args:
         stage_engine: the single-stencil evaluator that scores every
             stage design, and whose board, fidelity, FlexCL analyzer,
-            per-candidate trace hook, store and memo bound this engine
-            takes; a default one is built when omitted.  Passing the
-            service's resident evaluator shares all of them, its
-            cancellation point included.  Program entries sit in its
-            store beside single-stencil ones.
+            checkpoint, store and memo bound this engine takes; a
+            default one is built when omitted.  Passing the service's
+            resident evaluator shares all of them, its cancellation
+            point included.  Program entries sit in its store beside
+            single-stencil ones.
     """
 
     def __init__(self, stage_engine: Optional[CandidateEvaluator] = None):
@@ -65,7 +65,7 @@ class ProgramEvaluator(CandidateEvaluator):
             fidelity=stage_engine.fidelity,
             estimator=stage_engine.estimator,
             model=stage_engine.model,
-            trace=stage_engine.trace,
+            checkpoint=stage_engine.checkpoint,
             store=stage_engine.store,
             max_memo_entries=stage_engine.max_memo_entries,
         )
@@ -115,6 +115,7 @@ class ProgramEvaluator(CandidateEvaluator):
         """:meth:`CandidateEvaluator.screen_batch`, composed along each
         candidate's DAG: shared-budget verdicts, admissible composed
         bounds and composed resources, from one stage index."""
+        self.checkpoint()
         candidates = list(candidates)
         if not candidates:
             return [], [], []

@@ -21,8 +21,11 @@ a resident, query-able service:
   carrying a load-derived retry-after estimate instead of blocking the
   caller.
 - **Timeouts + cancellation.**  Jobs are cancellable while queued and
-  while running: the evaluator's per-candidate trace hook doubles as a
-  cancellation point, so a deadline cuts into a long exploration.
+  while running: the evaluator's checkpoint is the running job's
+  cancellation point, so a cancel or deadline lands at the next batch
+  boundary — before a batch is scored or before its results are
+  recorded.  A batch being scored is waited out, and an exhaustive
+  search is one batch.
 - **Bounded retry.**  Transient failures (:class:`StoreError`, OS
   errors, :class:`TransientServiceError`) are retried with exponential
   backoff up to ``max_retries`` times; model/design errors fail fast.
@@ -54,7 +57,6 @@ from repro.errors import (
     StoreError,
     TransientServiceError,
 )
-from repro.model.predictor import Fidelity
 from repro.obs.record import (
     FlightRecord,
     TelemetryJournal,
@@ -63,7 +65,7 @@ from repro.obs.record import (
 )
 from repro.obs.trace import TraceContext, activate as activate_trace
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
-from repro.service.jobs import Job, JobRequest, JobState
+from repro.service.jobs import CurrentJob, Job, JobRequest, JobState
 from repro.service.queue import JobQueue
 from repro.store.backing import BackingStore
 
@@ -231,7 +233,6 @@ class SynthesisService:
 
     Args:
         board: platform every job is synthesized against.
-        fidelity: analytical-model variant for the shared evaluator.
         store: optional persistent backing store; attached to the
             shared evaluator so evaluations survive restarts.  The
             service flushes it after every completed job but never
@@ -247,7 +248,6 @@ class SynthesisService:
             server must not grow without bound).
         max_history: finished jobs kept for status queries; older ones
             are evicted oldest-first.
-        transient: exception types treated as retryable.
         pipeline: override of the job body (tests inject slow/failing
             pipelines); receives ``(job, evaluator)`` and returns the
             JSON-able result payload.
@@ -262,7 +262,6 @@ class SynthesisService:
     def __init__(
         self,
         board: BoardSpec = ADM_PCIE_7V3,
-        fidelity: Fidelity = Fidelity.REFINED,
         store: Optional[BackingStore] = None,
         workers: int = 2,
         queue_depth: int = 64,
@@ -271,7 +270,6 @@ class SynthesisService:
         default_timeout_s: Optional[float] = None,
         max_memo_entries: Optional[int] = 4096,
         max_history: int = 1024,
-        transient: Tuple[Type[BaseException], ...] = DEFAULT_TRANSIENT,
         pipeline=None,
         telemetry: Optional[TelemetryJournal] = None,
         slo_p99_target_s: float = 120.0,
@@ -291,15 +289,13 @@ class SynthesisService:
         self.max_retries = max_retries
         self.retry_backoff_s = retry_backoff_s
         self.default_timeout_s = default_timeout_s
-        self.transient = tuple(transient)
         self.stats = ServiceStats()
         self._pipeline = pipeline or self._synthesize_pipeline
-        self._active = threading.local()
+        self._current = CurrentJob()
         self.evaluator = CandidateEvaluator(
             board=board,
-            fidelity=fidelity,
             store=store,
-            trace=self._trace_hook,
+            checkpoint=self._current.checkpoint,
             max_memo_entries=max_memo_entries,
         )
         self._queue = JobQueue(max_depth=queue_depth)
@@ -528,18 +524,6 @@ class SynthesisService:
 
     # -- the worker side --------------------------------------------------------
 
-    def _trace_hook(self, _event) -> None:
-        """Per-candidate cancellation point inside the shared engine.
-
-        Each worker thread registers its current job in a
-        ``threading.local`` slot; the evaluator invokes this hook from
-        that same thread for every candidate it touches, so a cancel or
-        deadline aborts a running exploration within one candidate.
-        """
-        job = getattr(self._active, "job", None)
-        if job is not None:
-            job.check_cancelled()
-
     def _synthesize_pipeline(
         self, job: Job, evaluator: CandidateEvaluator
     ) -> Dict[str, Any]:
@@ -576,7 +560,7 @@ class SynthesisService:
         job._cpu_start_s = thread_cpu_s()
         job._rss_start_kb = peak_rss_kb()
         job._evals_start = self.evaluator_stats()
-        self._active.job = job
+        self._current.job = job
         try:
             # Re-activate the request's trace context on this worker
             # thread: every span below (service.job, search.tier*,
@@ -584,7 +568,7 @@ class SynthesisService:
             with activate_trace(job.trace):
                 self._attempt_until_final(job)
         finally:
-            self._active.job = None
+            self._current.job = None
             elapsed = time.monotonic() - start
             obs.observe("service.job_wall_s", elapsed)
             with self._lock:
@@ -595,7 +579,13 @@ class SynthesisService:
             obs.set_gauge("service.running", self._running)
 
     def _attempt_until_final(self, job: Job) -> None:
-        """Run one job to a final state, retrying transient failures."""
+        """Run one job to a final state, retrying transient failures.
+
+        The one place a failed attempt is classified, whether the body
+        ran on this thread or on a replica (which hands back the
+        exception it raised): :class:`JobCancelledError` cancels,
+        :data:`DEFAULT_TRANSIENT` types retry, and anything else fails.
+        """
         while True:
             job.attempts += 1
             try:
@@ -609,7 +599,7 @@ class SynthesisService:
             except JobCancelledError as exc:
                 self._finalize(job, JobState.CANCELLED, error=str(exc))
                 return
-            except self.transient as exc:
+            except DEFAULT_TRANSIENT as exc:
                 if job.attempts > self.max_retries:
                     self._finalize(
                         job,

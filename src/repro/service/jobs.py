@@ -429,10 +429,10 @@ class Job:
     def check_cancelled(self) -> None:
         """Raise :class:`JobCancelledError` at a cancellation point.
 
-        The service's pipeline calls this between stages and from the
-        evaluator's per-candidate trace hook, so cancellation and
-        timeouts cut into a running exploration rather than waiting it
-        out.
+        The service calls this before each attempt, and the engines
+        call it at every batch boundary through :class:`CurrentJob`,
+        so a cancel or timeout lands before a batch is scored or
+        before its results are recorded, never mid-scoring.
         """
         if self._cancel.is_set():
             raise JobCancelledError(f"job {self.id} cancelled")
@@ -489,3 +489,20 @@ class Job:
             "trace_id": self.trace.trace_id if self.trace else None,
             "flight": self.flight,
         }
+
+
+class CurrentJob(threading.local):
+    """The job the calling thread is running, if any.
+
+    Each service worker thread (or replica process) sets :attr:`job`
+    around a job's body; :meth:`checkpoint` is the cancellation point
+    the service hands its engine, which calls it from the thread that
+    runs the body.
+    """
+
+    job: Optional[Job] = None
+
+    def checkpoint(self) -> None:
+        """:meth:`Job.check_cancelled` on the current job."""
+        if self.job is not None:
+            self.job.check_cancelled()

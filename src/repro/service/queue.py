@@ -44,7 +44,6 @@ class JobQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        self._draining = False
 
     def __len__(self) -> int:
         with self._lock:
@@ -110,7 +109,6 @@ class JobQueue:
         """
         with self._lock:
             self._closed = True
-            self._draining = drain
             stranded: List[Job] = []
             if not drain:
                 stranded = [item[2] for item in self._heap]

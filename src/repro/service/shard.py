@@ -25,16 +25,22 @@ processes:
   /jobs/<id>/trace`` shows replica work, and aggregates the counter
   deltas into per-replica ``service.replica.<i>.*`` metrics.
 
-Job bodies run :func:`~repro.service.core.run_synthesis_pipeline`
-— the same function the single-process service runs — so result
-payloads are byte-identical to the threaded path by construction.
+A replica runs only the job body,
+:func:`~repro.service.core.run_synthesis_pipeline` — the same function
+the single-process service runs — and hands back its payload or the
+exception it raised, so result payloads are byte-identical to the
+threaded path by construction, and the dispatcher's
+:meth:`~repro.service.core.SynthesisService._attempt_until_final`
+alone decides whether a failed attempt is cancelled, retried or
+failed.
 
 **Cancellation across the process boundary.** Each replica pair shares
 a ``multiprocessing.Event``: the forwarding thread sets it when the
-job is cancelled dispatcher-side, and the replica's per-candidate
-trace hook raises :class:`~repro.errors.JobCancelledError` at the next
-candidate, exactly like the in-process hook.  Deadlines are shipped as
-remaining seconds and re-armed on the replica's own monotonic clock.
+job is cancelled dispatcher-side.  The replica runs the body as a
+:class:`~repro.service.jobs.Job` built from the shipped request, that
+event and the remaining deadline, re-armed on the replica's monotonic
+clock, and its engine's checkpoint checks that job at every batch
+boundary, exactly like the in-process engine.
 
 **Failure modes.** A replica that dies mid-job is restarted and the
 job resurfaces as a :class:`~repro.errors.TransientServiceError`, so
@@ -44,19 +50,20 @@ job, so at most the in-flight job's writes are lost — and those are
 recomputed, never corrupted (content-addressed, torn-tail-tolerant).
 
 Replicas are spawned (never forked): the dispatcher is multithreaded,
-and ``fork`` in a threaded process is a deadlock lottery.
+and ``fork`` in a threaded process is a deadlock lottery.  Their
+stores keep :class:`~repro.store.DesignStore`'s default sync policy.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, List, Optional, Tuple
 
-import repro.errors as repro_errors
 from repro import obs
 from repro.errors import (
     JobCancelledError,
@@ -65,18 +72,13 @@ from repro.errors import (
     StoreError,
     TransientServiceError,
 )
-from repro.model.predictor import Fidelity
 from repro.obs import core as obs_core
 from repro.obs.record import TelemetryJournal, peak_rss_kb, thread_cpu_s
 from repro.obs.spans import SpanRecord
-from repro.obs.trace import TraceContext, activate as activate_trace
+from repro.obs.trace import activate as activate_trace
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
-from repro.service.core import (
-    DEFAULT_TRANSIENT,
-    SynthesisService,
-    run_synthesis_pipeline,
-)
-from repro.service.jobs import Job
+from repro.service.core import SynthesisService, run_synthesis_pipeline
+from repro.service.jobs import CurrentJob, Job
 
 _log = obs.get_logger("service.shard")
 
@@ -98,11 +100,8 @@ class ReplicaConfig:
     """Everything a replica needs to build its engine (picklable)."""
 
     board: BoardSpec
-    fidelity: Fidelity
     store_root: Optional[str]
-    store_sync: str
     max_memo_entries: Optional[int]
-    transient: Tuple[Type[BaseException], ...]
     obs_enabled: bool
     obs_capture_spans: bool
 
@@ -121,35 +120,12 @@ def _replica_main(index: int, config: ReplicaConfig, conn, cancel_event):
         )
     store = None
     if config.store_root:
-        store = DesignStore(
-            config.store_root,
-            sync=config.store_sync,
-            writer=f"replica-{index}",
-        )
-    state: Dict[str, Any] = {
-        "job_id": "?", "timeout_s": None, "deadline": None,
-        "timed_out": False,
-    }
-
-    def _cancel_hook(_event) -> None:
-        # The replica-side twin of SynthesisService._trace_hook: the
-        # evaluator calls it per candidate, so a dispatcher cancel or
-        # the job deadline cuts into a running exploration.
-        if cancel_event.is_set():
-            raise JobCancelledError(f"job {state['job_id']} cancelled")
-        deadline = state["deadline"]
-        if deadline is not None and time.monotonic() > deadline:
-            state["timed_out"] = True
-            raise JobCancelledError(
-                f"job {state['job_id']} exceeded its "
-                f"{state['timeout_s']:g}s timeout"
-            )
-
+        store = DesignStore(config.store_root, writer=f"replica-{index}")
+    current = CurrentJob()
     evaluator = CandidateEvaluator(
         board=config.board,
-        fidelity=config.fidelity,
         store=store,
-        trace=_cancel_hook,
+        checkpoint=current.checkpoint,
         max_memo_entries=config.max_memo_entries,
     )
     try:
@@ -163,7 +139,7 @@ def _replica_main(index: int, config: ReplicaConfig, conn, cancel_event):
                 break  # {"op": "stop"} or garbage: exit cleanly
             conn.send(
                 _replica_run_one(
-                    index, message, evaluator, config, state, cancel_event
+                    index, message, evaluator, current, cancel_event
                 )
             )
     finally:
@@ -182,59 +158,38 @@ def _replica_run_one(
     index: int,
     message: Dict[str, Any],
     evaluator,
-    config: ReplicaConfig,
-    state: Dict[str, Any],
+    current: CurrentJob,
     cancel_event,
 ) -> Dict[str, Any]:
-    """Run one job on the replica's warm engine; never raises."""
-    job_id = message["job_id"]
-    request = message["request"]
-    trace: Optional[TraceContext] = message.get("trace")
-    state["job_id"] = job_id
-    state["timeout_s"] = request.timeout_s
-    state["timed_out"] = False
-    timeout_s = message.get("timeout_s")
-    state["deadline"] = (
-        time.monotonic() + timeout_s if timeout_s is not None else None
+    """Run one job body on the replica's warm engine; never raises.
+
+    The reply's ``outcome`` is the body's payload or the exception it
+    raised, as the dispatcher will re-raise it.
+    """
+    timeout_s = message["timeout_s"]
+    job = current.job = Job(
+        id=message["job_id"],
+        request=message["request"],
+        signature=message["signature"],
+        trace=message["trace"],
+        _cancel=cancel_event,
+        _deadline=(
+            None if timeout_s is None else time.monotonic() + timeout_s
+        ),
     )
     before = evaluator.stats.as_dict()
     cpu_start_s = thread_cpu_s()
     rss_start_kb = peak_rss_kb()
-    reply: Dict[str, Any] = {
-        "op": "done", "job_id": job_id, "replica": index,
-    }
     try:
-        with activate_trace(trace):
-            payload = run_synthesis_pipeline(
-                request, evaluator, job_id=job_id
+        with activate_trace(job.trace):
+            outcome = run_synthesis_pipeline(
+                job.request, evaluator, job_id=job.id
             )
-        reply.update(status="ok", payload=payload)
-    except JobCancelledError as exc:
-        reply.update(
-            status="cancelled",
-            error=str(exc),
-            timed_out=state["timed_out"],
-        )
-    except config.transient as exc:
-        reply.update(
-            status="transient",
-            error=str(exc),
-            error_type=type(exc).__name__,
-        )
-    except ReproError as exc:
-        reply.update(
-            status="failed",
-            error=str(exc),
-            error_type=type(exc).__name__,
-        )
-    except Exception as exc:  # parity with the in-process worker
-        reply.update(
-            status="failed",
-            error=f"internal error: {type(exc).__name__}: {exc}",
-            error_type=None,
-        )
+    except Exception as exc:  # the dispatcher classifies it
+        outcome = _portable(exc)
     finally:
-        state["deadline"] = None
+        current.job = None
+    reply: Dict[str, Any] = {"replica": index, "outcome": outcome}
     # The job's own CPU and peak-RSS growth, for the dispatcher's
     # flight record (its forwarding thread only waits on the pipe).
     reply["cpu_s"] = thread_cpu_s() - cpu_start_s
@@ -255,11 +210,11 @@ def _replica_run_one(
     reply["evals"] = {
         key: after[key] - before.get(key, 0) for key in after
     }
-    if trace is not None and obs.enabled() and obs.capture_spans():
+    if job.trace is not None and obs.enabled() and obs.capture_spans():
         reply["spans"] = [
             span.as_dict()
             for span in obs.recorder.spans()
-            if span.trace_id == trace.trace_id
+            if span.trace_id == job.trace.trace_id
         ]
         # Anchor for the dispatcher's timebase alignment: this
         # replica's "now" in both wall-clock and epoch-relative terms.
@@ -269,6 +224,19 @@ def _replica_run_one(
         }
         obs.recorder.clear()
     return reply
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc`` if it survives the pipe's pickling, else a stand-in.
+
+    The stand-in is a :class:`~repro.errors.ReproError` naming the
+    original, so the job still fails with its type and message.
+    """
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return ReproError(f"internal error: {type(exc).__name__}: {exc}")
+    return exc
 
 
 class _Replica:
@@ -339,6 +307,7 @@ class _Replica:
                 {
                     "op": "run",
                     "job_id": job.id,
+                    "signature": job.signature,
                     "request": job.request,
                     "timeout_s": timeout_s,
                     "trace": job.trace,
@@ -436,10 +405,6 @@ class ShardedSynthesisService(SynthesisService):
             with its own writer slot (multi-writer journals).  ``None``
             runs without persistence.
         worker_processes: replica count (and forwarding-thread count).
-        store_sync: journal fsync policy for the replicas' stores.
-        start_method: ``multiprocessing`` start method; keep ``spawn``
-            unless you know the dispatcher is single-threaded at fork
-            time (it is not).
         Remaining arguments as the base class.  ``store=`` and
         ``pipeline=`` are owned by the sharding machinery and not
         accepted here.
@@ -448,18 +413,14 @@ class ShardedSynthesisService(SynthesisService):
     def __init__(
         self,
         board: BoardSpec = ADM_PCIE_7V3,
-        fidelity: Fidelity = Fidelity.REFINED,
         store_root=None,
         worker_processes: int = 2,
-        store_sync: str = "batch",
-        start_method: str = "spawn",
         queue_depth: int = 64,
         max_retries: int = 2,
         retry_backoff_s: float = 0.25,
         default_timeout_s: Optional[float] = None,
         max_memo_entries: Optional[int] = 4096,
         max_history: int = 1024,
-        transient: Tuple[Type[BaseException], ...] = DEFAULT_TRANSIENT,
         telemetry: Optional[TelemetryJournal] = None,
         slo_p99_target_s: float = 120.0,
     ):
@@ -467,14 +428,11 @@ class ShardedSynthesisService(SynthesisService):
             raise ServiceError(
                 f"worker_processes must be >= 1, got {worker_processes}"
             )
-        ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context("spawn")
         config = ReplicaConfig(
             board=board,
-            fidelity=fidelity,
             store_root=str(store_root) if store_root is not None else None,
-            store_sync=store_sync,
             max_memo_entries=max_memo_entries,
-            transient=tuple(transient),
             obs_enabled=obs.enabled(),
             obs_capture_spans=obs.capture_spans(),
         )
@@ -494,7 +452,6 @@ class ShardedSynthesisService(SynthesisService):
         # every replica must be ready first.
         super().__init__(
             board=board,
-            fidelity=fidelity,
             store=None,  # replicas own the store; see class docstring
             workers=worker_processes,
             queue_depth=queue_depth,
@@ -503,7 +460,6 @@ class ShardedSynthesisService(SynthesisService):
             default_timeout_s=default_timeout_s,
             max_memo_entries=max_memo_entries,
             max_history=max_history,
-            transient=transient,
             pipeline=self._remote_pipeline,
             telemetry=telemetry,
             slo_p99_target_s=slo_p99_target_s,
@@ -522,7 +478,7 @@ class ShardedSynthesisService(SynthesisService):
         super()._worker_loop()
 
     def _remote_pipeline(self, job: Job, _evaluator) -> Dict[str, Any]:
-        """Job body: RPC to this thread's replica; re-raise its verdict."""
+        """Job body: RPC to this thread's replica; re-raise its error."""
         replica: _Replica = self._slot.replica
         reply = replica.run_job(job)
         self._absorb_reply(replica, reply)
@@ -530,29 +486,14 @@ class ShardedSynthesisService(SynthesisService):
         rss_kb = reply.get("peak_rss_delta_kb")
         if rss_kb is not None:
             job._replica_rss_kb = (job._replica_rss_kb or 0) + rss_kb
-        status = reply.get("status")
-        if status == "ok":
-            return reply["payload"]
-        error = reply.get("error") or f"replica {replica.index} error"
-        if status == "cancelled":
-            if reply.get("timed_out"):
-                job.timed_out = True
-            raise JobCancelledError(error)
-        exc_cls = getattr(repro_errors, reply.get("error_type") or "", None)
-        reconstructible = (
-            isinstance(exc_cls, type)
-            and issubclass(exc_cls, ReproError)
-            and not issubclass(exc_cls, JobCancelledError)
-        )
-        if status == "transient":
-            if reconstructible and issubclass(exc_cls, self.transient):
-                raise exc_cls(error)
-            raise TransientServiceError(error)
-        if reconstructible:
-            # Re-raise the replica's own error type so the base
-            # class's finalize message matches the in-process path.
-            raise exc_cls(error)
-        raise ReproError(error)
+        outcome = reply["outcome"]
+        if isinstance(outcome, JobCancelledError):
+            # The replica checked its copy of the job; this check
+            # marks the original ``timed_out`` when the deadline fired.
+            job.check_cancelled()
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def _absorb_reply(
         self, replica: _Replica, reply: Dict[str, Any]

@@ -3,10 +3,10 @@
 Runs a :class:`~repro.tiling.design.StencilDesign` on real numpy data,
 faithfully following the generated architecture: per-tile local
 buffers, fused iteration cones that shrink toward the tile, halo
-exchange between sibling tiles through :class:`~repro.opencl.pipes.Pipe`
-objects each fused iteration, redundant cone computation across
-region-outer faces, and global-memory double buffering between fused
-blocks.
+exchange between sibling tiles each fused iteration (each slab copied
+from the sender's buffer straight into the receiver's, as the JIT
+kernel does), redundant cone computation across region-outer faces,
+and global-memory double buffering between fused blocks.
 
 Under the FROZEN and PERIODIC boundary policies the result must equal
 the naive reference executor **bitwise** (same tap order, same dtype)
@@ -39,12 +39,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.errors import (
-    BackendUnavailable,
-    SimulationError,
-    SpecificationError,
-)
-from repro.opencl.pipes import Pipe
+from repro.errors import BackendUnavailable, SpecificationError
 from repro.stencil.boundary import BoundaryPolicy
 from repro.stencil.reference import apply_update_interior
 from repro.tiling.design import StencilDesign
@@ -81,9 +76,7 @@ class FunctionalExecutor:
     (bitwise-identical by contract) when
     :func:`~repro.sim.jit.resolve_backend` answers ``"jit"`` and the
     JIT supports this design and these inputs, and :meth:`interpret`
-    — the numpy oracle the JIT is tested against — otherwise.  Only
-    :meth:`interpret` populates :attr:`pipes`; the JIT moves halos
-    through C buffers.
+    — the numpy oracle the JIT is tested against — otherwise.
 
     Args:
         design: the design to execute.
@@ -112,8 +105,6 @@ class FunctionalExecutor:
         self.interior = shrink_box(self.domain, self.pattern.radius)
         #: Backend that executed the most recent run.
         self.active_backend = "numpy"
-        #: Pipes created during interpreted runs, keyed by name.
-        self.pipes: Dict[str, Pipe] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -211,7 +202,7 @@ class FunctionalExecutor:
             for ctx in contexts.values():
                 self._compute_iteration(ctx, i, h_block)
             if self.design.sharing and i < h_block:
-                self._exchange_halos(contexts, origin, i)
+                self._exchange_halos(contexts, origin)
         for ctx in contexts.values():
             self._write_back(next_state, ctx)
 
@@ -353,9 +344,8 @@ class FunctionalExecutor:
         self,
         contexts: Dict[Index, _TileContext],
         origin: Tuple[int, ...],
-        iteration: int,
     ) -> None:
-        """Per-dimension sequential halo exchange through pipes.
+        """Per-dimension sequential halo exchange between sibling tiles.
 
         Dimensions are exchanged in ascending order.  A slab sent across
         a dim-``d`` face spans, in every transverse dimension ``t``, the
@@ -384,7 +374,7 @@ class FunctionalExecutor:
                     (ctx_high, ctx_low, self._slab(ctx_high, d, face, r))
                 )
             for src, dst, slab in transfers:
-                self._send_through_pipe(src, dst, slab, d, iteration)
+                self._copy_slab(src, dst, slab)
 
     def _slab(
         self, src: _TileContext, dim: int, start: int, width: int
@@ -411,39 +401,19 @@ class FunctionalExecutor:
         hi[dim] = start + width
         return Box(tuple(lo), tuple(hi)).intersect(src.buffer_box)
 
-    def _send_through_pipe(
-        self,
-        src: _TileContext,
-        dst: _TileContext,
-        slab: Box,
-        dim: int,
-        iteration: int,
+    def _copy_slab(
+        self, src: _TileContext, dst: _TileContext, slab: Box
     ) -> None:
+        """Copy the part of ``slab`` ``dst`` buffers from ``src``'s fields."""
         region = slab.intersect(dst.buffer_box)
         if region.is_empty:
             return
-        name = (
-            f"pipe_{_fmt(src.tile.index)}_to_{_fmt(dst.tile.index)}_d{dim}"
-        )
-        pipe = self.pipes.get(name)
-        if pipe is None:
-            pipe = Pipe(name, depth=self.design.pipe_depth)
-            self.pipes[name] = pipe
         src_box = region.translate(tuple(-o for o in src.buffer_box.lo))
         dst_box = region.translate(tuple(-o for o in dst.buffer_box.lo))
         for fname in self.pattern.fields:
-            payload = src.fields[fname][src_box.slices()].copy()
-            pipe.write((iteration, fname, payload))
-            tag, recv_field, received = pipe.read()
-            if tag != iteration or recv_field != fname:
-                raise SimulationError(
-                    f"Pipe {name!r} delivered out-of-order packet"
-                )
-            dst.fields[fname][dst_box.slices()] = received
-
-
-def _fmt(index: Index) -> str:
-    return "x".join(str(i) for i in index)
+            dst.fields[fname][dst_box.slices()] = src.fields[fname][
+                src_box.slices()
+            ]
 
 
 def run_functional(

@@ -7,16 +7,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import repro.dse.evaluator as evaluator_module
 from repro.dse import (
     CandidateEvaluator,
-    CandidateTrace,
     ResourceBudget,
     optimize_full,
 )
 from repro.dse.evaluator import EvaluationStats
 from repro.errors import DesignSpaceError
 from repro.fpga.resources import VIRTEX7_690T, ResourceVector
+from repro.program import ProgramDesign, ProgramEvaluator
+from repro.program.spec import single_stage_program
 from repro.stencil import jacobi_2d
+from repro.store import DesignStore
 from repro.tiling import make_baseline_design
 
 
@@ -234,45 +237,6 @@ class TestOptimizeFullParity:
 
 
 class TestTraceAndStats:
-    def test_trace_hook_sees_every_candidate(self, baseline, budget):
-        events = []
-        engine = CandidateEvaluator(trace=events.append)
-        candidates = [baseline.with_fused_depth(h) for h in (1, 2, 4, 8)]
-        engine.explore(candidates, budget)
-        assert len(events) == len(candidates)
-        assert all(isinstance(e, CandidateTrace) for e in events)
-        outcomes = {e.outcome for e in events}
-        assert outcomes <= {"evaluated", "cache-hit", "infeasible"}
-        assert "evaluated" in outcomes
-
-    def test_trace_seq_ids_are_monotonic(self, baseline, budget):
-        events = []
-        engine = CandidateEvaluator(trace=events.append)
-        candidates = [baseline.with_fused_depth(h) for h in (1, 2, 4, 8)]
-        engine.explore(candidates, budget)
-        engine.explore(candidates, budget)  # second batch keeps counting
-        assert [e.seq for e in events] == list(range(len(events)))
-
-    def test_trace_seq_ids_unique_under_thread_pool(
-        self, baseline, budget
-    ):
-        events = []
-        engine = CandidateEvaluator(trace=events.append)
-        candidates = [
-            baseline.with_fused_depth(h) for h in (1, 2, 3, 4, 5, 6, 7, 8)
-        ] * 2
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            list(
-                pool.map(
-                    lambda _: engine.explore(candidates, budget), range(4)
-                )
-            )
-        # Assigned under the engine lock at emit time: every event of
-        # every concurrent caller gets a distinct id.
-        assert sorted(e.seq for e in events) == list(
-            range(4 * len(candidates))
-        )
-
     def test_stats_merge_and_dict(self):
         a = EvaluationStats(candidates=2, evaluated=1, cache_hits=1)
         b = EvaluationStats(candidates=3, screened=2, infeasible=1)
@@ -288,3 +252,86 @@ class TestTraceAndStats:
             "wall_time_s": 0.0,
         }
         assert "5 candidates" in a.summary()
+
+
+class Stop(Exception):
+    """What the test checkpoints raise."""
+
+
+def stop_at(n):
+    """A checkpoint that raises :class:`Stop` on its ``n``-th call."""
+    calls = []
+
+    def checkpoint():
+        calls.append(None)
+        if len(calls) == n:
+            raise Stop(n)
+
+    return checkpoint
+
+
+class TestCheckpoint:
+    """The engine's one cancellation point: three per batch, one per
+    Tier-0 screen, none while recording."""
+
+    @pytest.fixture
+    def candidates(self, baseline):
+        return [baseline.with_fused_depth(h) for h in (1, 2, 4)]
+
+    def test_stop_before_scoring_leaves_the_model_uncalled(
+        self, candidates, budget, monkeypatch
+    ):
+        scored = []
+        predict_batch = evaluator_module.predict_batch
+
+        def counting(designs, **kwargs):
+            scored.append(len(designs))
+            return predict_batch(designs, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "predict_batch", counting)
+        with pytest.raises(Stop):
+            CandidateEvaluator(checkpoint=stop_at(2)).evaluate_batch(
+                candidates, budget
+            )
+        assert scored == []
+        with pytest.raises(Stop):
+            CandidateEvaluator(checkpoint=stop_at(3)).evaluate_batch(
+                candidates, budget
+            )
+        assert scored == [len(candidates)]
+
+    def test_stop_after_scoring_records_nothing(
+        self, candidates, budget, tmp_path
+    ):
+        with DesignStore(tmp_path / "s") as store:
+            engine = CandidateEvaluator(store=store, checkpoint=stop_at(3))
+            with pytest.raises(Stop):
+                engine.evaluate_batch(candidates, budget)
+            assert engine.cache_size() == 0
+            assert store.writes == 0
+            assert engine.stats.candidates == 0
+
+    def test_three_calls_per_batch_one_per_screen(
+        self, spec, candidates, budget
+    ):
+        calls = []
+        engine = CandidateEvaluator(checkpoint=lambda: calls.append(None))
+        engine.evaluate_batch(candidates, budget)
+        assert len(calls) == 3
+        engine.explore(candidates, budget)  # memo answers: still a batch
+        assert len(calls) == 6
+        engine.screen_batch(candidates, budget)
+        assert len(calls) == 7
+
+        programs = ProgramEvaluator(engine)
+        designs = [
+            ProgramDesign(
+                program=single_stage_program(spec),
+                stage_designs=((spec.name, design),),
+            )
+            for design in candidates
+        ]
+        programs.screen_batch(designs, budget)
+        assert len(calls) == 8
+        programs.evaluate_batch(designs, budget)
+        assert len(calls) == 11

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.errors import ParseError, ReproError
 from repro.obs.trace import TraceContext
 from repro.service import (
     JobRequest,
@@ -21,6 +22,7 @@ from repro.service import (
     SynthesisService,
 )
 from repro.service.routes import handle_request, to_json_bytes
+from repro.service.shard import _portable
 from repro.store import DesignStore
 
 WAIT_S = 120.0
@@ -36,7 +38,14 @@ DISJOINT = [
     },
 ]
 
-#: A CPU-heavy joint-DSE request (seconds, hundreds of cancel points).
+#: A source job the frontend rejects.
+BAD_SOURCE = {
+    "source": "__kernel void k(__global float *a) { a[i] = a[i +; }",
+    "grid_shape": (64, 64),
+    "iterations": 4,
+}
+
+#: A CPU-heavy joint-DSE request (13,824 program candidates).
 HEAVY = {
     "program": "blur-sobel-threshold",
     "grid_shape": (128, 128),
@@ -93,6 +102,35 @@ class TestParity:
                 to_json_bytes(job.result)
                 == reference[spec["benchmark"]]
             )
+
+    def test_failed_job_error_identical_to_single_process(
+        self, sharded_factory
+    ):
+        # The replica hands back the exception the body raised, and the
+        # dispatcher classifies it exactly as the in-process worker does.
+        single = SynthesisService(workers=1)
+        try:
+            [expected] = _run_all(single, [BAD_SOURCE])
+        finally:
+            single.shutdown(drain=True, timeout=WAIT_S)
+        assert expected.state is JobState.FAILED
+        assert expected.error.startswith("ParseError: Unexpected token ';'")
+
+        service = sharded_factory(worker_processes=1)
+        [job] = _run_all(service, [BAD_SOURCE])
+        assert job.state is JobState.FAILED
+        assert job.error == expected.error
+        assert job.attempts == 1
+
+    def test_an_error_the_pipe_cannot_carry_fails_as_internal(self):
+        class Local(Exception):  # not importable, so not picklable
+            pass
+
+        stand_in = _portable(Local("boom"))
+        assert type(stand_in) is ReproError
+        assert str(stand_in) == "internal error: Local: boom"
+        parse_error = ParseError("Unexpected token ';'", 1, 14)
+        assert _portable(parse_error) is parse_error
 
     def test_overlapping_workload_repeats_byte_identical(
         self, sharded_factory
@@ -211,9 +249,9 @@ class TestCancellation:
         service.cancel(job.id)
         service.wait(job.id, timeout=WAIT_S)
         assert job.state is JobState.CANCELLED
-        # The replica noticed at a candidate boundary, not at the end
-        # of the job: cancellation latency is bounded by the poll
-        # period plus one candidate, far below the job's runtime.
+        # The replica stops at its engine's next batch boundary:
+        # cancellation latency is the poll period plus, at most, the
+        # scoring of the batch in progress.
         assert time.monotonic() - begin < 10.0
         assert not job.timed_out
 

@@ -118,26 +118,6 @@ class TestIterationControl:
         assert np.array_equal(state["a"], snapshot)
 
 
-class TestPipeUsage:
-    def test_pipes_created_for_sharing(self, small_jacobi2d, pipe_design):
-        executor = FunctionalExecutor(pipe_design)
-        executor.interpret()
-        assert executor.pipes
-        for pipe in executor.pipes.values():
-            assert pipe.total_writes == pipe.total_reads > 0
-
-    def test_no_pipes_for_baseline(self, baseline_design):
-        executor = FunctionalExecutor(baseline_design)
-        executor.interpret()
-        assert executor.pipes == {}
-
-    def test_no_pipes_when_depth_one(self, small_jacobi2d):
-        design = make_pipe_shared_design(small_jacobi2d, (16, 16), (2, 2), 1)
-        executor = FunctionalExecutor(design)
-        executor.interpret()
-        assert executor.pipes == {}
-
-
 class TestValidation:
     def test_indivisible_region_rejected(self, small_jacobi2d):
         design = make_pipe_shared_design(small_jacobi2d, (7, 7), (2, 2), 2)
