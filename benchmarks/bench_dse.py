@@ -54,7 +54,7 @@ from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.flexcl import FlexCLEstimator
 from repro.model.batch import predict_batch
 from repro.fpga.resources import VIRTEX7_690T
-from repro.model.predictor import Fidelity, PerformanceModel
+from repro.model.predictor import PerformanceModel
 from repro.sim import simulate
 from repro.stencil import jacobi_2d
 from repro.store import DesignStore
@@ -178,7 +178,7 @@ def table3_candidates():
     return designs
 
 
-def batch_compare(min_speedup, fidelity=Fidelity.REFINED):
+def batch_compare(min_speedup):
     """Score the Table 3 space scalar vs batch; verify parity + speedup.
 
     Returns a JSON-serializable result dict; raises ``AssertionError``
@@ -186,7 +186,7 @@ def batch_compare(min_speedup, fidelity=Fidelity.REFINED):
     """
     designs = table3_candidates()
     flexcl = FlexCLEstimator()
-    model = PerformanceModel(fidelity=fidelity, estimator=flexcl)
+    model = PerformanceModel(estimator=flexcl)
     estimator = ResourceEstimator(flexcl)
     # Warm the shared FlexCL report cache so both paths pay it equally.
     model.predict(designs[0])
@@ -199,7 +199,7 @@ def batch_compare(min_speedup, fidelity=Fidelity.REFINED):
     t_scalar = time.perf_counter() - start
 
     start = time.perf_counter()
-    prediction = predict_batch(designs, fidelity=fidelity, flexcl=flexcl)
+    prediction = predict_batch(designs, flexcl=flexcl)
     resources = estimate_batch(designs, flexcl=flexcl)
     t_batch = time.perf_counter() - start
 
@@ -210,7 +210,6 @@ def batch_compare(min_speedup, fidelity=Fidelity.REFINED):
     speedup = t_scalar / t_batch
     result = {
         "space": "table3-jacobi-2d",
-        "fidelity": fidelity.value,
         "candidates": len(designs),
         "scalar_s": round(t_scalar, 4),
         "batch_s": round(t_batch, 4),
@@ -543,11 +542,6 @@ def main(argv=None):
         ),
     )
     parser.add_argument(
-        "--fidelity",
-        choices=[f.value for f in Fidelity],
-        default=Fidelity.REFINED.value,
-    )
-    parser.add_argument(
         "--json-out",
         default=None,
         help="write the comparison result to this JSON file",
@@ -573,7 +567,6 @@ def main(argv=None):
                     if args.min_speedup is None
                     else args.min_speedup
                 ),
-                fidelity=Fidelity(args.fidelity),
             )
         failed = False
     except AssertionError as exc:

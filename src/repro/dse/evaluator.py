@@ -21,8 +21,11 @@ the benchmarks.  Every entry point runs the same four steps:
    one pass of the vectorized model and resource estimator
    (:func:`~repro.model.batch.predict_batch`,
    :func:`~repro.fpga.batch.estimate_batch`), whose numbers equal the
-   scalar Eq. 1-11 model's bitwise.  A batch holding a design outside
-   their exact-parity range is scored by the scalar model instead.
+   scalar refined Eq. 1-11 model's bitwise.  A batch holding a design
+   outside their exact-parity range is scored by the scalar model
+   instead.  The refined model is the only one the engine scores; the
+   published equations stay in the scalar predictor as its reference
+   (``docs/MODEL.md``).
 4. **Epilogue** — each candidate gets the budget check, its counters,
    and write-through of fresh results to the store.
 
@@ -45,7 +48,6 @@ candidates through this same path: it overrides only the key
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import OrderedDict
@@ -57,13 +59,12 @@ from repro.dse.constraints import ResourceBudget
 from repro.errors import DesignSpaceError
 from repro.fpga.batch import estimate_batch
 from repro.fpga.estimator import DesignResources, ResourceEstimator
-from repro.fpga.flexcl import FlexCLEstimator
 from repro.model.batch import (
     BatchRangeError,
     lower_bound_batch,
     predict_batch,
 )
-from repro.model.predictor import Fidelity, PerformanceModel
+from repro.model.predictor import PerformanceModel
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.store.backing import BackingStore, StoredResult, evaluation_context
 from repro.tiling.design import StencilDesign
@@ -184,20 +185,18 @@ def _fits(resources: DesignResources, budget: Optional[ResourceBudget]) -> bool:
 class CandidateEvaluator:
     """Memoized, store-backed, batch-scoring engine for candidate designs.
 
-    One evaluator is bound to a board, a model fidelity, and an
-    estimator pair (the performance model and the resource estimator
-    share one FlexCL pipeline analyzer so its reports are computed once
-    per pattern).  The memo lives for the evaluator's lifetime, so
+    One evaluator is bound to a board and an estimator pair (the
+    refined performance model and the resource estimator share one
+    FlexCL pipeline analyzer so its reports are computed once per
+    pattern).  The memo lives for the evaluator's lifetime, so
     sharing one instance across sweeps shares its work; one instance
     may be shared by several threads.
 
     Args:
         board: platform the model evaluates against.
-        fidelity: analytical-model variant.
         estimator: scalar resource estimator (one is built when
-            omitted); scores batches the vectorized engine cannot.
-        model: scalar performance model (one is built when omitted);
-            same role.
+            omitted); scores batches the vectorized engine cannot, and
+            its FlexCL analyzer serves the scalar model built on it.
         checkpoint: called with no arguments at every batch boundary
             (see the module docstring) on the thread scoring the batch;
             whatever it raises abandons the batch and propagates.  The
@@ -205,10 +204,10 @@ class CandidateEvaluator:
             :class:`~repro.errors.JobCancelledError` from it.
         store: optional persistent backing store — consulted on every
             memo miss, written through on every fresh evaluation.
-            Entries are content-addressed under this evaluator's board,
-            fidelity, and FlexCL configuration, so a store shared
-            across differently-configured evaluators never serves a
-            stale result.
+            Entries are content-addressed under this evaluator's board
+            and FlexCL configuration, so a store shared across
+            differently-configured evaluators never serves a stale
+            result.
         max_memo_entries: bound on the in-memory signature memo; when
             set, the least-recently-used entries are evicted past the
             bound (an evicted design re-evaluates — or, with a store
@@ -219,31 +218,24 @@ class CandidateEvaluator:
     def __init__(
         self,
         board: BoardSpec = ADM_PCIE_7V3,
-        fidelity: Fidelity = Fidelity.REFINED,
         estimator: Optional[ResourceEstimator] = None,
-        model: Optional[PerformanceModel] = None,
         checkpoint: Optional[Callable[[], None]] = None,
         store: Optional[BackingStore] = None,
         max_memo_entries: Optional[int] = None,
     ):
-        if estimator is None:
-            flexcl = model.estimator if model is not None else FlexCLEstimator()
-            estimator = ResourceEstimator(flexcl)
-        if model is None:
-            model = PerformanceModel(board, fidelity, estimator.flexcl)
+        estimator = estimator or ResourceEstimator()
         if max_memo_entries is not None and max_memo_entries < 1:
             raise DesignSpaceError(
                 f"max_memo_entries must be >= 1, got {max_memo_entries}"
             )
         self.board = board
-        self.fidelity = model.fidelity
         self.estimator = estimator
-        self.model = model
+        self.model = PerformanceModel(board, estimator=estimator.flexcl)
         self.checkpoint = checkpoint or _no_checkpoint
         self.store = store
         self.max_memo_entries = max_memo_entries
         self.store_context = (
-            evaluation_context(board, self.fidelity, estimator.flexcl)
+            evaluation_context(board, estimator.flexcl)
             if store is not None
             else None
         )
@@ -312,10 +304,7 @@ class CandidateEvaluator:
             return []
         try:
             prediction = predict_batch(
-                designs,
-                board=self.board,
-                fidelity=self.fidelity,
-                flexcl=self.model.estimator,
+                designs, board=self.board, flexcl=self.model.estimator
             )
         except BatchRangeError:
             return [self.model.predict_cycles(d) for d in designs]
@@ -338,9 +327,7 @@ class CandidateEvaluator:
         """:meth:`lower_bound` per design: batch bound, scalar fallback."""
         try:
             return lower_bound_batch(
-                designs,
-                fidelity=self.fidelity,
-                flexcl=self.model.estimator,
+                designs, flexcl=self.model.estimator
             ).tolist()
         except BatchRangeError:
             return [self.lower_bound(d) for d in designs]
@@ -513,24 +500,12 @@ class CandidateEvaluator:
 
         Counts only computation cycles — launch, memory, and pipe
         overheads are all non-negative, so the bound never exceeds the
-        full prediction at either fidelity:
-
-        - ``REFINED``: the slowest kernel's total latency is at least
-          its computation ``C_element · Σ_i workload_i``, maximized
-          over kernels and scaled by the integer block count.
-        - ``PAPER``: Eq. 7's ``L_comp`` is at least the useful part
-          ``C_element · h · Π w_d`` of the slowest kernel, scaled by
-          the real-valued ``N_region`` of Eq. 2.
+        full prediction: the slowest kernel's total latency is at least
+        its computation ``C_element · Σ_i workload_i``, maximized over
+        kernels and scaled by the integer block count.
         """
         report = self.model.pipeline_report(design)
         c_elem = report.cycles_per_element
-        if self.fidelity is Fidelity.PAPER:
-            per_block = (
-                c_elem
-                * design.fused_depth
-                * math.prod(design.slowest_tile().shape)
-            )
-            return per_block * design.num_blocks_paper()
         per_block = c_elem * max(
             design.tile_compute_cells(t) for t in design.tiles
         )

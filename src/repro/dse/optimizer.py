@@ -12,7 +12,9 @@ across searches.
 
 Candidate enumeration is *streaming*: every entry point builds a lazy
 generator.  Without a ``driver`` the engine scores the whole stream
-exhaustively (``engine.explore``); passing a tiered
+exhaustively (``engine.explore``), drawing it first with the engine's
+checkpoint called after every 1,024 candidates, so a cancel does not
+wait for a large space to be enumerated; passing a tiered
 :class:`~repro.dse.search.SearchDriver` turns the same search into a
 chunked screen-then-refine sweep with O(chunk) candidate residency
 (see ``docs/SEARCH.md``).
@@ -20,7 +22,7 @@ chunked screen-then-refine sweep with O(chunk) candidate residency
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.dse.constraints import ResourceBudget
 from repro.dse.evaluator import (
@@ -65,6 +67,11 @@ def _resolve_evaluator(
     return CandidateEvaluator(board=board)
 
 
+#: Candidates an exhaustive search draws between two checkpoints of
+#: its engine (the tiered driver's default chunk size).
+_DRAW_CHUNK = 1024
+
+
 def _run_search(
     engine: CandidateEvaluator,
     driver: Optional[SearchDriver],
@@ -72,9 +79,14 @@ def _run_search(
     budget: ResourceBudget,
 ) -> DSEResult:
     """Score the stream exhaustively, or through ``driver`` when given."""
-    if driver is None:
-        return engine.explore(list(candidates), budget)
-    return driver.run(candidates, budget)
+    if driver is not None:
+        return driver.run(candidates, budget)
+    drawn: List[StencilDesign] = []
+    for design in candidates:
+        drawn.append(design)
+        if len(drawn) % _DRAW_CHUNK == 0:
+            engine.checkpoint()
+    return engine.explore(drawn, budget)
 
 
 def baseline_candidates(space: DesignSpace) -> Iterator[StencilDesign]:

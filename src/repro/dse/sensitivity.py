@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.dse.evaluator import CandidateEvaluator, EvaluationStats
 from repro.errors import DesignSpaceError
 from repro.fpga.estimator import ResourceEstimator
-from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.sim.executor import simulate
 from repro.store.backing import BackingStore
@@ -80,11 +79,9 @@ class SensitivityAnalyzer:
     def __init__(
         self,
         board: BoardSpec = ADM_PCIE_7V3,
-        fidelity: Fidelity = Fidelity.REFINED,
         store: Optional[BackingStore] = None,
     ):
         self.board = board
-        self.fidelity = fidelity
         self.store = store
         self._estimator = ResourceEstimator()
         self._evaluators: Dict[BoardSpec, CandidateEvaluator] = {}
@@ -94,7 +91,6 @@ class SensitivityAnalyzer:
         if evaluator is None:
             evaluator = CandidateEvaluator(
                 board=board,
-                fidelity=self.fidelity,
                 estimator=self._estimator,
                 store=self.store,
             )

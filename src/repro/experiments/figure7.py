@@ -20,7 +20,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.dse.evaluator import CandidateEvaluator
 from repro.experiments.configs import TABLE3_CONFIGS
 from repro.experiments.report import render_table
-from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.sim.executor import SimulationExecutor
 from repro.tiling.heterogeneous import make_heterogeneous_design
@@ -136,7 +135,6 @@ def _check_execution(config, region: Tuple[int, ...], h: int) -> None:
 def run_figure7(
     benchmarks: Sequence[str] = FIGURE7_BENCHMARKS,
     board: BoardSpec = ADM_PCIE_7V3,
-    fidelity: Fidelity = Fidelity.REFINED,
     evaluator: Optional[CandidateEvaluator] = None,
     check_execution: bool = False,
 ) -> List[Figure7Series]:
@@ -144,7 +142,7 @@ def run_figure7(
 
     ``evaluator`` follows the same warm-start contract as
     :func:`repro.experiments.table3.run_table3`; it must match
-    ``board``/``fidelity`` when supplied.
+    ``board`` when supplied.
 
     With ``check_execution=True``, every swept design point is also
     *executed* on real data (a one-region scaled replica — the full
@@ -152,9 +150,7 @@ def run_figure7(
     against the naive reference.  Raises
     :class:`~repro.errors.SimulationError` on any divergence.
     """
-    evaluator = evaluator or CandidateEvaluator(
-        board=board, fidelity=fidelity
-    )
+    evaluator = evaluator or CandidateEvaluator(board=board)
     executor = SimulationExecutor(board)
     series: List[Figure7Series] = []
     for name in benchmarks:

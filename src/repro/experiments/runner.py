@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from typing import List, Optional, Sequence
@@ -90,6 +91,36 @@ _DESIGN_KINDS = {
     "pipe": "pipe-shared",
     "hetero": "heterogeneous",
 }
+
+
+def _int_at_least(low: int):
+    """An argparse ``type`` taking integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+def _positive_seconds(text: str) -> float:
+    """An argparse ``type`` taking positive, finite seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive number of seconds, got {text!r}"
+        )
+    return value
 
 
 def _parse_benchmarks(value: Optional[str], default: Sequence[str]):
@@ -248,8 +279,6 @@ def _program_spec(args, parser: argparse.ArgumentParser):
             f"unknown --program {args.program!r}; choose from: "
             f"{', '.join(PROGRAM_BENCHMARKS)}"
         )
-    if args.iterations is not None and args.iterations < 1:
-        parser.error(f"--iterations must be positive, got {args.iterations}")
     try:
         grid = args.grid and tuple(int(v) for v in args.grid.split("x"))
         return get_program(args.program, grid=grid, iterations=args.iterations)
@@ -537,7 +566,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--iterations",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help="per-stage iteration override for 'program'",
     )
@@ -554,13 +583,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=2,
         help="worker threads for 'serve'",
     )
     parser.add_argument(
         "--worker-processes",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         metavar="N",
         help=(
@@ -571,7 +600,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--queue-depth",
-        type=int,
+        type=_int_at_least(1),
         default=64,
         help=(
             "admission-control bound for 'serve'; a full queue "
@@ -580,7 +609,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--job-timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="per-job deadline ('serve' default / 'submit' override)",
@@ -621,7 +650,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--chunk-size",
-        type=int,
+        type=_int_at_least(1),
         default=1024,
         metavar="N",
         help=(

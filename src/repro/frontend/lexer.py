@@ -88,7 +88,12 @@ def tokenize(source: str) -> List[Token]:
             if end < 0:
                 raise ParseError("Unterminated block comment", line, column)
             skipped = source[i : end + 2]
-            line += skipped.count("\n")
+            newlines = skipped.count("\n")
+            line += newlines
+            if newlines:
+                column = len(skipped) - skipped.rfind("\n")
+            else:
+                column += len(skipped)
             i = end + 2
             continue
         if ch.isdigit() or (

@@ -16,6 +16,7 @@ multi-subscript array references, and calls.
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Union
 
 from repro.errors import ParseError
@@ -198,7 +199,12 @@ class Parser:
 
 
 def _extract_body(source: str) -> str:
-    """Return the outermost brace-enclosed body, or the source itself."""
+    """Return the outermost brace-enclosed body, or the source itself.
+
+    The text before the body is blanked with its newlines kept, so
+    token positions, and with them a :class:`ParseError`'s line and
+    column, count from the start of the submitted source.
+    """
     start = source.find("{")
     if start < 0:
         return source
@@ -209,7 +215,8 @@ def _extract_body(source: str) -> str:
         elif source[i] == "}":
             depth -= 1
             if depth == 0:
-                return source[start + 1 : i]
+                head = re.sub(r"[^\n]", " ", source[: start + 1])
+                return head + source[start + 1 : i]
     raise ParseError("Unbalanced braces in kernel source")
 
 

@@ -1,11 +1,16 @@
-"""NumPy-vectorized batch evaluation of the performance model.
+"""NumPy-vectorized batch evaluation of the refined performance model.
 
 Evaluates an entire array of candidate designs — all ``(h, f_k_d,
 tile_shape)`` points of an enumerated space — in one pass over NumPy
-arrays: Eq. 2 region counts, Eq. 4-6 memory latencies, Eq. 7-9
-per-iteration cone workloads (the iteration axis is vectorized too),
-and Eq. 10-11 pipe-share/overlap with the same zero-clamp semantics as
-:func:`~repro.model.sharing.share_latency_eq10`.
+arrays.  It scores what the DSE ranks: the ``REFINED`` variant of
+Eqs. 1-11 (``docs/MODEL.md``), with per-tile Eq. 4-6 read/write
+footprints and Eq. 7-9 cone workloads taken from each tile's exact
+geometry (the iteration axis is vectorized too), Eq. 10-11 pipe
+traffic hidden behind the previous iteration's interior, and the
+slowest tile scaled by the integer block count.  The published
+equations stay in the scalar predictor's ``PAPER`` variant
+(:mod:`repro.model.predictor`), the reference the refined model is
+tested against.
 
 **Parity is the contract.**  For every candidate, every breakdown
 component equals the scalar :meth:`PerformanceModel.predict` result
@@ -19,16 +24,13 @@ path's operation order and numeric types per equation:
   cell count below ``2**52`` (so ``int -> float64`` conversions and the
   BRAM model's float-ceil divisions round identically to the scalar
   path's arbitrary-precision ``int`` arithmetic).
-- Float accumulations (the ``i = 1..h`` iteration loop, Eq. 10's face
-  sums) run as explicit sequential loops over the iteration/dimension
-  axes — ``np.sum``'s pairwise summation would change the rounding.
-  Masked lanes accumulate ``+ 0.0``, which is a bitwise identity for
-  the non-negative quantities involved.
-- Ratios whose scalar form is a Python ``int / int`` true division
-  (Eq. 2's ``N_region``, the integer block count) are computed
-  per-candidate in Python, because CPython's correctly-rounded rational
-  division can differ from NumPy's convert-then-divide for huge
-  operands.
+- Float accumulations (the ``i = 1..h`` iteration loop) run as an
+  explicit sequential loop over the iteration axis — ``np.sum``'s
+  pairwise summation would change the rounding.  Masked lanes
+  accumulate ``+ 0.0``, which is a bitwise identity for the
+  non-negative quantities involved.
+- The block count is the scalar path's Python ``int``, taken per
+  candidate and converted to ``float64`` once.
 
 Candidates whose geometry exceeds the guarded range raise
 :class:`BatchRangeError`; callers (the
@@ -38,15 +40,13 @@ back to the scalar model, so the guard affects speed, never results.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
-from repro.errors import DesignSpaceError
 from repro.fpga.flexcl import FlexCLEstimator
 from repro.fpga.parity import (
     CELLS_LIMIT,
@@ -54,7 +54,7 @@ from repro.fpga.parity import (
     BatchRangeError,
     check_parity_range,
 )
-from repro.model.predictor import Fidelity, LatencyBreakdown
+from repro.model.predictor import LatencyBreakdown
 from repro.opencl.platform import ADM_PCIE_7V3, BoardSpec
 from repro.tiling.design import StencilDesign
 from repro.tiling.tile import tile_columns
@@ -75,9 +75,8 @@ class BatchPrediction:
     """Per-candidate latency components (cycles), as ``float64`` arrays.
 
     Component ``i`` of every array is bitwise-equal to the same field
-    of ``PerformanceModel.predict(designs[i])`` at the requested
-    fidelity.  ``total`` follows :attr:`LatencyBreakdown.total`'s
-    summation order.
+    of ``PerformanceModel(board).predict(designs[i])``.  ``total``
+    follows :attr:`LatencyBreakdown.total`'s summation order.
     """
 
     launch: np.ndarray
@@ -103,24 +102,9 @@ class BatchPrediction:
         )
 
 
-def _normalize_boards(
-    board: Union[BoardSpec, Sequence[BoardSpec]], n: int
-) -> List[BoardSpec]:
-    if isinstance(board, BoardSpec):
-        return [board] * n
-    boards = list(board)
-    if len(boards) != n:
-        raise DesignSpaceError(
-            f"Per-candidate board list has {len(boards)} entries for "
-            f"{n} candidates"
-        )
-    return boards
-
-
 def predict_batch(
     designs: Sequence[StencilDesign],
-    board: Union[BoardSpec, Sequence[BoardSpec]] = ADM_PCIE_7V3,
-    fidelity: Fidelity = Fidelity.REFINED,
+    board: BoardSpec = ADM_PCIE_7V3,
     flexcl: Optional[FlexCLEstimator] = None,
 ) -> BatchPrediction:
     """Predict latency breakdowns for a whole array of candidates.
@@ -128,10 +112,7 @@ def predict_batch(
     Args:
         designs: candidate designs (mixed dimensionalities allowed;
             candidates are grouped by rank internally).
-        board: one board for all candidates, or one per candidate
-            (e.g. a sensitivity sweep's per-point boards).
-        fidelity: analytical-model variant, as in
-            :class:`~repro.model.predictor.PerformanceModel`.
+        board: the board every candidate is scored on.
         flexcl: shared pipeline analyzer (one is built when omitted).
 
     Returns:
@@ -143,7 +124,6 @@ def predict_batch(
     """
     designs = list(designs)
     n = len(designs)
-    boards = _normalize_boards(board, n)
     flexcl = flexcl or FlexCLEstimator()
     out = {
         name: np.zeros(n, dtype=np.float64)
@@ -157,17 +137,12 @@ def predict_batch(
         )
     }
     start = time.perf_counter()
-    with obs.span(
-        "model.predict_batch", candidates=n, fidelity=fidelity.value
-    ):
+    with obs.span("model.predict_batch", candidates=n):
         groups: Dict[int, List[int]] = {}
         for i, design in enumerate(designs):
             groups.setdefault(design.spec.ndim, []).append(i)
         for ndim, idx in groups.items():
-            if fidelity is Fidelity.PAPER:
-                parts = _paper_group(designs, boards, flexcl, idx, ndim)
-            else:
-                parts = _refined_group(designs, boards, flexcl, idx, ndim)
+            parts = _refined_group(designs, board, flexcl, idx, ndim)
             for name, values in parts.items():
                 out[name][idx] = values
     elapsed = time.perf_counter() - start
@@ -190,24 +165,21 @@ def predict_batch(
 
 def lower_bound_batch(
     designs: Sequence[StencilDesign],
-    fidelity: Fidelity = Fidelity.REFINED,
     flexcl: Optional[FlexCLEstimator] = None,
 ) -> np.ndarray:
     """Admissible compute-only latency lower bounds for a batch.
 
     Entry ``i`` is bitwise-equal to
     :meth:`repro.dse.evaluator.CandidateEvaluator.lower_bound` for
-    ``designs[i]`` at the same fidelity: the per-tile cone workloads
-    run on vectorized ``int64`` columns (exact), and the final float
-    products replicate the scalar bound's operation order per
-    candidate in pure Python.  Since the bound counts computation
-    cycles only, it never exceeds the Eq. 7-11 prediction, so a
-    screen that drops candidates whose bound already loses to an
-    incumbent never drops the optimum.
+    ``designs[i]``: the per-tile cone workloads run on vectorized
+    ``int64`` columns (exact), and the final float products replicate
+    the scalar bound's operation order per candidate in pure Python.
+    Since the bound counts computation cycles only, it never exceeds
+    the refined prediction, so a screen that drops candidates whose
+    bound already loses to an incumbent never drops the optimum.
 
     Args:
         designs: candidate designs (mixed dimensionalities allowed).
-        fidelity: analytical-model variant the bound must undercut.
         flexcl: shared pipeline analyzer (one is built when omitted).
 
     Returns:
@@ -222,21 +194,18 @@ def lower_bound_batch(
     n = len(designs)
     flexcl = flexcl or FlexCLEstimator()
     out = np.zeros(n, dtype=np.float64)
-    with obs.span(
-        "model.lower_bound_batch", candidates=n, fidelity=fidelity.value
-    ):
+    with obs.span("model.lower_bound_batch", candidates=n):
         groups: Dict[int, List[int]] = {}
         for i, design in enumerate(designs):
             groups.setdefault(design.spec.ndim, []).append(i)
         for ndim, idx in groups.items():
-            _lower_bound_group(designs, flexcl, fidelity, idx, ndim, out)
+            _lower_bound_group(designs, flexcl, idx, ndim, out)
     return out
 
 
 def _lower_bound_group(
     designs: Sequence[StencilDesign],
     flexcl: FlexCLEstimator,
-    fidelity: Fidelity,
     idx: Sequence[int],
     ndim: int,
     out: np.ndarray,
@@ -244,7 +213,7 @@ def _lower_bound_group(
     shape_p, cone_p, _halo_p, pair_cand, seg_starts, max_extent = (
         _tile_columns(designs, idx, ndim)
     )
-    profiles, prof = _profiles(designs, None, flexcl, idx)
+    profiles, prof = _profiles(designs, flexcl, idx)
     h_list = [designs[i].fused_depth for i in idx]
     h_arr = np.asarray(h_list, dtype=np.int64)
     radius_rows = _column(profiles, prof, "radius", np.int64)
@@ -261,25 +230,6 @@ def _lower_bound_group(
         rem = h_p - i
         cells_i = np.prod(shape_p + rn_p * rem[:, None], axis=1)
         totals_p += np.where(rem >= 0, cells_i, 0)
-    if fidelity is Fidelity.PAPER:
-        # Slowest-tile selection mirrors ``slowest_tile()``: first
-        # maximal total wins.
-        pick = _first_argmax_per_segment(totals_p, pair_cand, seg_starts)
-        slow_cells = np.prod(shape_p[pick], axis=1).tolist()
-        for row, i in enumerate(idx):
-            design = designs[i]
-            profile = profiles[prof[row]]
-            tile_cells = slow_cells[row]
-            per_block = profile.c_elem * design.fused_depth * tile_cells
-            # Eq. 2's ``N_region``: one correctly-rounded int/int true
-            # division, exactly as ``num_blocks_paper`` computes it.
-            n_region = (
-                design.spec.iterations
-                * profile.grid_cells
-                / (design.fused_depth * design.parallelism * tile_cells)
-            )
-            out[i] = per_block * n_region
-        return
     seg_max = np.maximum.reduceat(totals_p, seg_starts).tolist()
     for row, i in enumerate(idx):
         per_block = profiles[prof[row]].c_elem * seg_max[row]
@@ -320,42 +270,34 @@ def _tile_columns(
 
 
 class _Profile(NamedTuple):
-    """Constants every candidate with one spec, unroll and board shares."""
+    """Constants every candidate with one spec and unroll shares."""
 
     c_elem: float
-    per_cycle: float
-    pipe: float
-    launch: float
     read_bpc: int
     write_bpc: int
     num_fields: int
     radius: Tuple[int, ...]
-    grid_cells: int
 
 
 def _profiles(
     designs: Sequence[StencilDesign],
-    boards: Optional[Sequence[BoardSpec]],
     flexcl: FlexCLEstimator,
     idx: Sequence[int],
 ) -> Tuple[List[_Profile], List[int]]:
-    """Distinct per-(spec, unroll, board) constants, and each
-    candidate's row into them.
+    """Distinct per-(spec, unroll) constants, and each candidate's row
+    into them.
 
-    A sweep's candidates nearly all share one spec, unroll and board,
-    so the pipeline report and byte counts are derived once per
-    combination instead of once per candidate.  Keys are object
-    identities, valid for this call only (``designs`` and ``boards``
-    keep every keyed object alive).  Without ``boards`` the board
-    fields are zero.
+    A sweep's candidates nearly all share one spec and unroll, so the
+    pipeline report and byte counts are derived once per combination
+    instead of once per candidate.  Keys are object identities, valid
+    for this call only (``designs`` keeps every keyed object alive).
     """
-    index: Dict[Tuple[int, int, int], int] = {}
+    index: Dict[Tuple[int, int], int] = {}
     profiles: List[_Profile] = []
     rows: List[int] = []
     for i in idx:
         design = designs[i]
-        board = boards[i] if boards is not None else None
-        key = (id(design.spec), design.unroll, id(board))
+        key = (id(design.spec), design.unroll)
         row = index.get(key)
         if row is None:
             row = index[key] = len(profiles)
@@ -365,18 +307,10 @@ def _profiles(
             profiles.append(
                 _Profile(
                     c_elem=report.cycles_per_element,
-                    per_cycle=(
-                        board.effective_bytes_per_cycle if board else 0.0
-                    ),
-                    pipe=float(board.pipe_cycles_per_word) if board else 0.0,
-                    launch=(
-                        float(board.kernel_launch_cycles) if board else 0.0
-                    ),
                     read_bpc=spec.cell_state_bytes + aux_bytes,
                     write_bpc=spec.cell_state_bytes,
                     num_fields=spec.pattern.num_fields,
                     radius=spec.pattern.radius,
-                    grid_cells=math.prod(spec.grid_shape),
                 )
             )
         rows.append(row)
@@ -407,128 +341,12 @@ def _first_argmax_per_segment(
     return np.minimum.reduceat(position, seg_starts)
 
 
-# -- paper-exact (Eqs. 1-11) group evaluation ----------------------------------
-
-
-def _paper_group(
-    designs: Sequence[StencilDesign],
-    boards: Sequence[BoardSpec],
-    flexcl: FlexCLEstimator,
-    idx: Sequence[int],
-    ndim: int,
-) -> Dict[str, np.ndarray]:
-    g = len(idx)
-    profiles, prof = _profiles(designs, boards, flexcl, idx)
-    h_list = [designs[i].fused_depth for i in idx]
-    h_arr = np.asarray(h_list, dtype=np.int64)
-    k_arr = np.asarray([designs[i].parallelism for i in idx], dtype=np.int64)
-    c_elem = _column(profiles, prof, "c_elem", np.float64)
-    per_cycle = _column(profiles, prof, "per_cycle", np.float64)
-    pipe = _column(profiles, prof, "pipe", np.float64)
-    launch = _column(profiles, prof, "launch", np.float64)
-    read_bpc = _column(profiles, prof, "read_bpc", np.int64)
-    write_bpc = _column(profiles, prof, "write_bpc", np.int64)
-    radius_rows = _column(profiles, prof, "radius", np.int64)
-    growth = 2 * radius_rows  # ``halo_growth``
-    sharing = np.fromiter(
-        (designs[i].sharing for i in idx), dtype=bool, count=g
-    )
-    max_r = max(max(p.radius) for p in profiles)
-    max_bpc = max(1, max(p.read_bpc for p in profiles))
-
-    shape_p, cone_p, _halo_p, pair_cand, seg_starts, max_extent = (
-        _tile_columns(designs, idx, ndim)
-    )
-    max_h = max(h_list)
-    check_parity_range(
-        max_extent + 2 * max_r * (max_h + 1), ndim, max(max_h, max_bpc)
-    )
-
-    # Slowest-tile selection: total cone workload per tile, first max
-    # wins (mirrors ``max(tiles, key=tile_compute_cells)``).
-    rn_p = radius_rows[pair_cand] * cone_p
-    h_p = h_arr[pair_cand]
-    totals_p = np.zeros(len(pair_cand), dtype=np.int64)
-    for i in range(1, max_h + 1):
-        rem = h_p - i
-        cells_i = np.prod(shape_p + rn_p * rem[:, None], axis=1)
-        totals_p += np.where(rem >= 0, cells_i, 0)
-    pick = _first_argmax_per_segment(totals_p, pair_cand, seg_starts)
-    slow_shape = shape_p[pick]
-
-    # Eq. 2 per candidate in pure Python: one correctly-rounded int/int
-    # true division, exactly as ``num_regions_eq2`` computes it.
-    tile_cells0 = np.prod(slow_shape, axis=1)
-    slow_cells = tile_cells0.tolist()
-    n_region = np.asarray(
-        [
-            designs[i].spec.iterations
-            * profiles[prof[row]].grid_cells
-            / (
-                designs[i].fused_depth
-                * designs[i].parallelism
-                * slow_cells[row]
-            )
-            for row, i in enumerate(idx)
-        ],
-        dtype=np.float64,
-    )
-
-    denom = per_cycle / k_arr
-    read_cells = np.prod(slow_shape + growth * h_arr[:, None], axis=1)
-    read = (read_cells * read_bpc) / denom
-    write = (tile_cells0 * write_bpc) / denom
-
-    useful = np.zeros(g, dtype=np.float64)
-    redundant = np.zeros(g, dtype=np.float64)
-    exposed = np.zeros(g, dtype=np.float64)
-    useful_i = c_elem * tile_cells0
-    any_sharing = bool(sharing.any())
-    for i in range(1, max_h + 1):
-        rem = h_arr - i
-        active = rem >= 0
-        cells_i = np.prod(slow_shape + growth * rem[:, None], axis=1)
-        l_iter = c_elem * cells_i
-        useful += np.where(active, useful_i, 0.0)
-        redundant += np.where(active, l_iter - useful_i, 0.0)
-        if not any_sharing:
-            continue
-        # Eq. 10 with the scalar clamp: per-face extents shrink inward
-        # by ``Δw_d (h - i)`` and clamp at zero, faces multiply in
-        # ascending dimension order, and faces sum in ascending ``j``.
-        total_face = np.zeros(g, dtype=np.float64)
-        clamped = [
-            np.maximum(0.0, slow_shape[:, d] - growth[:, d] * rem)
-            for d in range(ndim)
-        ]
-        for j in range(ndim):
-            face = np.ones(g, dtype=np.float64)
-            for d in range(ndim):
-                if d == j:
-                    continue
-                face = face * clamped[d]
-            total_face = total_face + face
-        l_share = pipe * total_face
-        exposed += np.where(
-            active & sharing, np.maximum(0.0, l_share - l_iter), 0.0
-        )
-
-    return {
-        "launch": launch * n_region,
-        "read": read * n_region,
-        "write": write * n_region,
-        "compute_useful": useful * n_region,
-        "compute_redundant": redundant * n_region,
-        "share_exposed": exposed * n_region,
-    }
-
-
 # -- refined (exact-geometry) group evaluation ---------------------------------
 
 
 def _refined_group(
     designs: Sequence[StencilDesign],
-    boards: Sequence[BoardSpec],
+    board: BoardSpec,
     flexcl: FlexCLEstimator,
     idx: Sequence[int],
     ndim: int,
@@ -538,7 +356,7 @@ def _refined_group(
     )
     m = len(pair_cand)
 
-    profiles, prof = _profiles(designs, boards, flexcl, idx)
+    profiles, prof = _profiles(designs, flexcl, idx)
     h_list = [designs[i].fused_depth for i in idx]
     k_list = [designs[i].parallelism for i in idx]
     h_arr = np.asarray(h_list, dtype=np.int64)
@@ -546,10 +364,10 @@ def _refined_group(
     blocks_f = np.asarray(
         [float(designs[i].num_blocks()) for i in idx], dtype=np.float64
     )
+    per_cycle = board.effective_bytes_per_cycle
+    pipe = float(board.pipe_cycles_per_word)
+    launch = float(board.kernel_launch_cycles)
     c_elem = _column(profiles, prof, "c_elem", np.float64)
-    per_cycle = _column(profiles, prof, "per_cycle", np.float64)
-    pipe = _column(profiles, prof, "pipe", np.float64)
-    launch = _column(profiles, prof, "launch", np.float64)
     read_bpc = _column(profiles, prof, "read_bpc", np.int64)
     write_bpc = _column(profiles, prof, "write_bpc", np.int64)
     nf_arr = _column(profiles, prof, "num_fields", np.int64)
@@ -566,8 +384,6 @@ def _refined_group(
 
     h_p = h_arr[pair_cand]
     c_elem_p = c_elem[pair_cand]
-    pipe_p = pipe[pair_cand]
-    per_cycle_p = per_cycle[pair_cand]
     k_p = k_arr[pair_cand]
     nf_p = nf_arr[pair_cand]
     r_p = radius[pair_cand]
@@ -575,8 +391,8 @@ def _refined_group(
     cells_p = np.prod(shape_p, axis=1)
     read_shape = shape_p + r_p * h_p[:, None] * cone_p + r_p * halo_p
     read_cells = np.prod(read_shape, axis=1)
-    read = (read_cells * read_bpc[pair_cand] * k_p) / per_cycle_p
-    write = (cells_p * write_bpc[pair_cand] * k_p) / per_cycle_p
+    read = (read_cells * read_bpc[pair_cand] * k_p) / per_cycle
+    write = (cells_p * write_bpc[pair_cand] * k_p) / per_cycle
     useful = (c_elem_p * h_p) * cells_p
 
     compute_cells = np.zeros(m, dtype=np.int64)
@@ -599,7 +415,7 @@ def _refined_group(
                     if j != d:
                         transverse *= fp[:, j]
                 share_cells += halo_p[:, d] * r_p[:, d] * transverse
-            share = pipe_p * (share_cells * nf_p)
+            share = pipe * (share_cells * nf_p)
             mask = active & (share > 0.0)
             exposed += np.where(
                 mask,
@@ -611,8 +427,7 @@ def _refined_group(
         prev_indep = np.prod(np.maximum(fp - r_p * halo_p, 0), axis=1)
     redundant = c_elem_p * compute_cells - useful
 
-    launch_p = launch[pair_cand]
-    totals_p = launch_p + read + write + useful + redundant + exposed
+    totals_p = launch + read + write + useful + redundant + exposed
     pick = _first_argmax_per_segment(totals_p, pair_cand, seg_starts)
 
     return {

@@ -11,6 +11,10 @@ Two fidelity levels are provided:
   per-tile geometry (outer sides only expand, integer region counts),
   and latency hiding uses the interior-first schedule.
 
+The DSE scores ``REFINED`` only: the candidate engine and its batch
+twin (:mod:`repro.model.batch`) take no fidelity.  ``PAPER`` is the
+published-equation reference the refined model is tested against.
+
 Neither fidelity models the sequential kernel-launch stagger — the
 paper explicitly does not, and names it as the cause of the model's
 systematic underestimation of measured latency (Section 5.6).  The

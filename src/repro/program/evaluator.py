@@ -49,12 +49,12 @@ class ProgramEvaluator(CandidateEvaluator):
 
     Args:
         stage_engine: the single-stencil evaluator that scores every
-            stage design, and whose board, fidelity, FlexCL analyzer,
-            checkpoint, store and memo bound this engine takes; a
-            default one is built when omitted.  Passing the service's
-            resident evaluator shares all of them, its cancellation
-            point included.  Program entries sit in its store beside
-            single-stencil ones.
+            stage design, and whose board, resource estimator (with
+            its FlexCL analyzer), checkpoint, store and memo bound this
+            engine takes; a default one is built when omitted.  Passing
+            the service's resident evaluator shares all of them, its
+            cancellation point included.  Program entries sit in its
+            store beside single-stencil ones.
     """
 
     def __init__(self, stage_engine: Optional[CandidateEvaluator] = None):
@@ -62,9 +62,7 @@ class ProgramEvaluator(CandidateEvaluator):
             stage_engine = CandidateEvaluator()
         super().__init__(
             board=stage_engine.board,
-            fidelity=stage_engine.fidelity,
             estimator=stage_engine.estimator,
-            model=stage_engine.model,
             checkpoint=stage_engine.checkpoint,
             store=stage_engine.store,
             max_memo_entries=stage_engine.max_memo_entries,

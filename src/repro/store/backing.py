@@ -5,7 +5,7 @@ an evaluation result:
 
 - the design's canonical :meth:`~repro.tiling.design.StencilDesign.signature`,
 - the **evaluation context**: the full board spec (including the FPGA
-  part's capacities), the model fidelity, and the FlexCL pipeline
+  part's capacities), the model variant, and the FlexCL pipeline
   parameters,
 - the on-disk schema version (:data:`~repro.store.index.STORE_SCHEMA`).
 
@@ -37,7 +37,6 @@ from repro.errors import StoreError
 from repro.fpga.estimator import DesignResources
 from repro.fpga.flexcl import FlexCLEstimator
 from repro.fpga.resources import ResourceVector
-from repro.model.predictor import Fidelity
 from repro.opencl.platform import BoardSpec
 from repro.store.index import (
     JOURNAL_NAME,
@@ -71,11 +70,7 @@ def digest(value) -> str:
     ).hexdigest()
 
 
-def evaluation_context(
-    board: BoardSpec,
-    fidelity: Fidelity,
-    flexcl: FlexCLEstimator,
-) -> str:
+def evaluation_context(board: BoardSpec, flexcl: FlexCLEstimator) -> str:
     """Fingerprint of everything besides the design that shapes results.
 
     Covers every board/model parameter the predictor and resource
@@ -86,7 +81,10 @@ def evaluation_context(
         {
             "schema": STORE_SCHEMA,
             "board": dataclasses.asdict(board),
-            "fidelity": fidelity.value,
+            # The refined model is the only one the engines score; the
+            # literal keeps every key equal to those stored before the
+            # model variant stopped being a setting.
+            "fidelity": "refined",
             "flexcl": {"max_partitions": flexcl.max_partitions},
         }
     )

@@ -14,6 +14,7 @@ from repro.dse import (
     optimize_full,
 )
 from repro.dse.evaluator import EvaluationStats
+from repro.dse.optimizer import _run_search
 from repro.errors import DesignSpaceError
 from repro.fpga.resources import VIRTEX7_690T, ResourceVector
 from repro.program import ProgramDesign, ProgramEvaluator
@@ -310,6 +311,21 @@ class TestCheckpoint:
             assert engine.cache_size() == 0
             assert store.writes == 0
             assert engine.stats.candidates == 0
+
+    def test_exhaustive_search_checks_in_while_it_draws_the_stream(
+        self, baseline, budget
+    ):
+        drawn = []
+
+        def stream():
+            for i in range(4096):
+                drawn.append(i)
+                yield baseline.with_fused_depth(1 + i % 8)
+
+        engine = CandidateEvaluator(checkpoint=stop_at(1))
+        with pytest.raises(Stop):
+            _run_search(engine, None, stream(), budget)
+        assert len(drawn) == 1024
 
     def test_three_calls_per_batch_one_per_screen(
         self, spec, candidates, budget

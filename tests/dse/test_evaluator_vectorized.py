@@ -14,7 +14,7 @@ from repro.dse import CandidateEvaluator, ResourceBudget
 from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import VIRTEX7_690T, ResourceVector
 from repro.model.batch import BatchRangeError, predict_batch
-from repro.model.predictor import Fidelity, PerformanceModel
+from repro.model.predictor import PerformanceModel
 from repro.program import ProgramDesign, ProgramEvaluator
 from repro.program.model import compose_cycles, compose_resources
 from repro.program.spec import single_stage_program
@@ -66,16 +66,16 @@ def mixed_range_designs():
     return [small, huge]
 
 
-def oracle(design, fidelity=Fidelity.REFINED):
+def oracle(design):
     """The scalar Eq. 1-11 model and resource estimator."""
     return (
-        PerformanceModel(fidelity=fidelity).predict_cycles(design),
+        PerformanceModel().predict_cycles(design),
         ResourceEstimator().estimate(design),
     )
 
 
-def run_engine(budget, store=None, fidelity=Fidelity.REFINED):
-    engine = CandidateEvaluator(fidelity=fidelity, store=store)
+def run_engine(budget, store=None):
+    engine = CandidateEvaluator(store=store)
     results = engine.evaluate_batch(make_candidates(), budget)
     return engine, results
 
@@ -86,14 +86,13 @@ def strip_wall_time(stats):
     return d
 
 
-@pytest.mark.parametrize("fidelity", [Fidelity.PAPER, Fidelity.REFINED])
-def test_fast_path_matches_scalar_path(budget, fidelity):
-    engine, results = run_engine(budget, fidelity=fidelity)
+def test_fast_path_matches_scalar_path(budget):
+    engine, results = run_engine(budget)
     candidates = make_candidates()
 
     first = {}  # signature -> position of its first occurrence
     for j, (design, result) in enumerate(zip(candidates, results)):
-        cycles, resources = oracle(design, fidelity)
+        cycles, resources = oracle(design)
         assert result is not None
         assert result.design.signature() == design.signature()
         assert result.predicted_cycles == cycles

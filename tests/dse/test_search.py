@@ -38,7 +38,6 @@ from repro.errors import DesignSpaceError
 from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.resources import VIRTEX7_690T, ResourceVector
 from repro.model.batch import BatchRangeError, lower_bound_batch
-from repro.model.predictor import Fidelity
 from repro.stencil import jacobi_2d
 from repro.store import CRASH_ENV, DesignStore
 from repro.tiling import make_baseline_design, make_pipe_shared_design
@@ -82,19 +81,12 @@ def _assert_same_best(a, b):
 
 
 class TestLowerBoundBatch:
-    @pytest.mark.parametrize(
-        "fidelity", [Fidelity.REFINED, Fidelity.PAPER]
-    )
-    def test_bitwise_parity_with_scalar_bound(
-        self, small_jacobi2d, fidelity
-    ):
+    def test_bitwise_parity_with_scalar_bound(self, small_jacobi2d):
         designs = _mixed_candidates(
             small_jacobi2d, _space(small_jacobi2d)
         )
-        engine = CandidateEvaluator(fidelity=fidelity)
-        bounds = lower_bound_batch(
-            designs, fidelity=fidelity, flexcl=engine.model.estimator
-        )
+        engine = CandidateEvaluator()
+        bounds = lower_bound_batch(designs, flexcl=engine.model.estimator)
         for design, bound in zip(designs, bounds):
             assert float(bound) == engine.lower_bound(design)
 

@@ -1,8 +1,15 @@
 """Tests for the CLI runner."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments.runner import main
+
+_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 class TestCli:
@@ -53,6 +60,47 @@ class TestCli:
         assert flags[0] in err and flags[1] in err
         if flags[0] == "--program":
             assert "blur-sobel-threshold" in err and "fdtd-two-field" in err
+
+    @pytest.mark.parametrize("command", ["optimize", "program"])
+    def test_chunk_size_below_one_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--tiered", "--chunk-size", "0"])
+        assert exc.value.code == 2
+        assert "--chunk-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--workers", "0"),
+            ("--worker-processes", "-1"),
+            ("--queue-depth", "0"),
+            ("--job-timeout", "-3"),
+        ],
+    )
+    def test_out_of_range_serve_number_is_a_usage_error(
+        self, flag, value, tmp_path
+    ):
+        # A subprocess, so a server that starts anyway fails the test
+        # by its timeout instead of hanging the suite.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_SRC), env.get("PYTHONPATH", "")])
+        )
+        store = tmp_path / "store"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro.experiments", "serve",
+                "--port", "0", "--store", str(store), flag, value,
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert f"argument {flag}" in proc.stderr
+        assert "listening" not in proc.stdout
+        assert not store.exists()
 
     def test_simulate_tool(self, capsys):
         assert main(["simulate", "--benchmark", "jacobi-1d"]) == 0

@@ -127,6 +127,27 @@ class TestKernelBodies:
         with pytest.raises(ParseError, match="Unbalanced"):
             parse_kernel_body("void f() { a = 1.0;")
 
+    @pytest.mark.parametrize(
+        "source, line, column",
+        [
+            ("__kernel void k(__global float *a) { a[i] = a[i +; }", 1, 50),
+            (
+                "__kernel void k(__global float *a)\n{\n"
+                "    a[i] = a[i +;\n}\n",
+                3,
+                17,
+            ),
+            ("__kernel void k() { /* note */ a[i] = a[i +; }", 1, 44),
+        ],
+        ids=["one-line", "four-lines", "after-a-comment"],
+    )
+    def test_error_position_counts_from_the_source(
+        self, source, line, column
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_kernel_body(source)
+        assert (exc.value.line, exc.value.column) == (line, column)
+
     def test_comments_inside_body(self):
         stmts = parse_kernel_body(
             "// setup\nB[i] = A[i]; /* done */"

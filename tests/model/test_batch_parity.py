@@ -12,14 +12,13 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DesignSpaceError
 from repro.fpga.batch import estimate_batch
 from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.flexcl import FlexCLEstimator
 from repro.fpga.resources import VIRTEX7_690T
 from repro.dse.constraints import ResourceBudget
 from repro.model.batch import BatchPrediction, predict_batch
-from repro.model.predictor import Fidelity, PerformanceModel
+from repro.model.predictor import PerformanceModel
 from repro.opencl.platform import ADM_PCIE_7V3
 from repro.stencil import fdtd_2d, hotspot_2d, jacobi_1d, jacobi_2d, jacobi_3d
 from repro.tiling import (
@@ -68,13 +67,11 @@ def design_strategy(draw):
     return make_heterogeneous_design(spec, region, counts, h, unroll=unroll)
 
 
-def assert_model_parity(designs, fidelity, board=ADM_PCIE_7V3):
+def assert_model_parity(designs, board=ADM_PCIE_7V3):
     """Batch prediction must equal per-design scalar prediction, bitwise."""
     flexcl = FlexCLEstimator()
-    model = PerformanceModel(board=board, fidelity=fidelity, estimator=flexcl)
-    batch = predict_batch(
-        designs, board=board, fidelity=fidelity, flexcl=flexcl
-    )
+    model = PerformanceModel(board=board, estimator=flexcl)
+    batch = predict_batch(designs, board=board, flexcl=flexcl)
     assert isinstance(batch, BatchPrediction)
     assert len(batch) == len(designs)
     for i, design in enumerate(designs):
@@ -103,12 +100,9 @@ def assert_resource_parity(designs):
 
 class TestRandomBatchParity:
     @settings(max_examples=20, deadline=None)
-    @given(
-        designs=st.lists(design_strategy(), min_size=1, max_size=6),
-        fidelity=st.sampled_from([Fidelity.PAPER, Fidelity.REFINED]),
-    )
-    def test_prediction_bitwise_equal(self, designs, fidelity):
-        assert_model_parity(designs, fidelity)
+    @given(designs=st.lists(design_strategy(), min_size=1, max_size=6))
+    def test_prediction_bitwise_equal(self, designs):
+        assert_model_parity(designs)
 
     @settings(max_examples=20, deadline=None)
     @given(designs=st.lists(design_strategy(), min_size=1, max_size=6))
@@ -118,32 +112,26 @@ class TestRandomBatchParity:
     @settings(max_examples=10, deadline=None)
     @given(
         design=design_strategy(),
-        fidelity=st.sampled_from([Fidelity.PAPER, Fidelity.REFINED]),
         scale=st.sampled_from([0.5, 1.0, 2.0]),
     )
-    def test_per_candidate_boards(self, design, fidelity, scale):
+    def test_per_candidate_boards(self, design, scale):
         base = ADM_PCIE_7V3
         boards = [
             base,
             base.with_bandwidth(base.bandwidth_bytes_per_s * scale),
             dataclasses.replace(base, pipe_cycles_per_word=3),
         ]
-        batch = predict_batch(
-            [design] * len(boards), board=boards, fidelity=fidelity
-        )
-        for i, board in enumerate(boards):
-            scalar = PerformanceModel(board=board, fidelity=fidelity).predict(
-                design
-            )
-            assert batch.breakdown(i) == scalar
+        for board in boards:
+            batch = predict_batch([design], board=board)
+            scalar = PerformanceModel(board=board).predict(design)
+            assert batch.breakdown(0) == scalar
 
 
 class TestBatchShapes:
     def test_empty_batch(self):
-        for fidelity in (Fidelity.PAPER, Fidelity.REFINED):
-            batch = predict_batch([], fidelity=fidelity)
-            assert len(batch) == 0
-            assert batch.total.shape == (0,)
+        batch = predict_batch([])
+        assert len(batch) == 0
+        assert batch.total.shape == (0,)
         resources = estimate_batch([])
         assert len(resources) == 0
         assert resources.feasible(
@@ -154,20 +142,8 @@ class TestBatchShapes:
         design = make_baseline_design(
             jacobi_2d(grid=(64, 64), iterations=8), (8, 8), (2, 2), 3
         )
-        for fidelity in (Fidelity.PAPER, Fidelity.REFINED):
-            assert_model_parity([design], fidelity)
+        assert_model_parity([design])
         assert_resource_parity([design])
-
-    def test_board_list_length_mismatch_rejected(self):
-        design = make_baseline_design(
-            jacobi_2d(grid=(64, 64), iterations=8), (8, 8), (2, 2), 2
-        )
-        try:
-            predict_batch([design, design], board=[ADM_PCIE_7V3])
-        except DesignSpaceError:
-            pass
-        else:
-            raise AssertionError("length mismatch must raise")
 
 
 class TestDegenerateCones:
@@ -193,9 +169,7 @@ class TestDegenerateCones:
         return designs
 
     def test_degenerate_parity_both_fidelities(self):
-        designs = self._designs()
-        for fidelity in (Fidelity.PAPER, Fidelity.REFINED):
-            assert_model_parity(designs, fidelity)
+        assert_model_parity(self._designs())
 
     def test_degenerate_resources(self):
         assert_resource_parity(self._designs())

@@ -26,9 +26,7 @@ from repro.store.backing import design_key, evaluation_context, store_key
 from repro.tiling.design import DesignKind
 
 _ENGINE = CandidateEvaluator()
-CONTEXT = evaluation_context(
-    _ENGINE.board, _ENGINE.fidelity, _ENGINE.estimator.flexcl
-)
+CONTEXT = evaluation_context(_ENGINE.board, _ENGINE.estimator.flexcl)
 LIBRARY = [
     ("fdtd-two-field", (64, 64), 2),
     ("blur-sobel-threshold", (64, 64), 1),

@@ -59,9 +59,7 @@ def test_store_entries_keyed_by_program_signature(tmp_path):
     with DesignStore(tmp_path / "store") as store:
         engine = ProgramEvaluator(CandidateEvaluator(store=store))
         engine.evaluate_batch(designs, budget)
-        context = evaluation_context(
-            engine.board, engine.fidelity, engine.estimator.flexcl
-        )
+        context = evaluation_context(engine.board, engine.estimator.flexcl)
         for design in designs:
             stored = store.lookup_design(design, context)
             assert stored is not None and stored.complete

@@ -10,8 +10,8 @@ from repro.errors import StoreError
 from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.flexcl import FlexCLEstimator
 from repro.fpga.resources import VIRTEX7_690T
-from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3
+from repro.stencil import jacobi_2d
 from repro.store import (
     DesignStore,
     SNAPSHOT_NAME,
@@ -19,8 +19,14 @@ from repro.store import (
     design_key,
     evaluation_context,
 )
+from repro.store.backing import store_key
 from repro.store.journal import Journal
 from repro.tiling import make_baseline_design
+
+#: A second board, so a second evaluation context.
+_HALF_BANDWIDTH = ADM_PCIE_7V3.with_bandwidth(
+    ADM_PCIE_7V3.bandwidth_bytes_per_s / 2
+)
 
 
 @pytest.fixture
@@ -30,9 +36,7 @@ def design(small_jacobi2d):
 
 @pytest.fixture
 def context():
-    return evaluation_context(
-        ADM_PCIE_7V3, Fidelity.REFINED, FlexCLEstimator()
-    )
+    return evaluation_context(ADM_PCIE_7V3, FlexCLEstimator())
 
 
 @pytest.fixture
@@ -42,37 +46,36 @@ def budget():
 
 class TestContentAddressing:
     def test_context_changes_with_board(self, context):
-        board = ADM_PCIE_7V3.with_bandwidth(
-            ADM_PCIE_7V3.bandwidth_bytes_per_s / 2
-        )
         assert (
-            evaluation_context(board, Fidelity.REFINED, FlexCLEstimator())
-            != context
-        )
-
-    def test_context_changes_with_fidelity(self, context):
-        assert (
-            evaluation_context(
-                ADM_PCIE_7V3, Fidelity.PAPER, FlexCLEstimator()
-            )
+            evaluation_context(_HALF_BANDWIDTH, FlexCLEstimator())
             != context
         )
 
     def test_context_changes_with_flexcl_config(self, context):
         flexcl = FlexCLEstimator(max_partitions=4)
-        assert (
-            evaluation_context(ADM_PCIE_7V3, Fidelity.REFINED, flexcl)
-            != context
-        )
+        assert evaluation_context(ADM_PCIE_7V3, flexcl) != context
 
     def test_context_stable_across_equal_configs(self, context):
         assert (
             evaluation_context(
-                dataclasses.replace(ADM_PCIE_7V3),
-                Fidelity.REFINED,
-                FlexCLEstimator(),
+                dataclasses.replace(ADM_PCIE_7V3), FlexCLEstimator()
             )
             == context
+        )
+
+    def test_default_context_and_key_are_pinned(self, context):
+        # Every stored entry sits under these bytes: an edit that
+        # changes them orphans every store already written.
+        assert context == (
+            "b276a1a18c6d399902c5e886ab28ebc8"
+            "f2314aa428b351e156e7d74aa0ea853d"
+        )
+        design = make_baseline_design(
+            jacobi_2d(), (128, 128), (4, 4), 32, unroll=4
+        )
+        assert store_key(design, context) == (
+            "92168e4dbc2c3d9af5256818295a1f8d"
+            "08f7f3d8c4a34e49c501c3b3e75afd5e"
         )
 
     def test_key_changes_with_design(self, design, context):
@@ -116,9 +119,7 @@ class TestDesignStore:
             assert len(store) == 0
 
     def test_other_context_never_served(self, tmp_path, design, context):
-        other = evaluation_context(
-            ADM_PCIE_7V3, Fidelity.PAPER, FlexCLEstimator()
-        )
+        other = evaluation_context(_HALF_BANDWIDTH, FlexCLEstimator())
         with DesignStore(tmp_path / "s") as store:
             store.record_design(design, context, cycles=9.0)
             assert store.lookup_design(design, other) is None
@@ -196,9 +197,7 @@ class TestDesignStore:
             assert store.lookup_design(design, context) is not None
 
     def test_gc_keep_context(self, tmp_path, design, context):
-        other = evaluation_context(
-            ADM_PCIE_7V3, Fidelity.PAPER, FlexCLEstimator()
-        )
+        other = evaluation_context(_HALF_BANDWIDTH, FlexCLEstimator())
         with DesignStore(tmp_path / "s") as store:
             store.record_design(design, context, cycles=1.0)
             store.record_design(design, other, cycles=2.0)
@@ -207,9 +206,7 @@ class TestDesignStore:
             assert store.lookup_design(design, other) is None
 
     def test_invalidate_one_context(self, tmp_path, design, context):
-        other = evaluation_context(
-            ADM_PCIE_7V3, Fidelity.PAPER, FlexCLEstimator()
-        )
+        other = evaluation_context(_HALF_BANDWIDTH, FlexCLEstimator())
         with DesignStore(tmp_path / "s") as store:
             store.record_design(design, context, cycles=1.0)
             store.record_design(design, other, cycles=2.0)
@@ -306,21 +303,6 @@ class TestEvaluatorIntegration:
         result = engine.explore(self._candidates(design), budget)
         assert engine.stats.store_hits == 0
         assert result.best is not None
-
-    def test_differing_fidelity_does_not_share_entries(
-        self, tmp_path, design, budget
-    ):
-        root = tmp_path / "s"
-        with DesignStore(root) as store:
-            refined = CandidateEvaluator(
-                store=store, fidelity=Fidelity.REFINED
-            )
-            refined.explore(self._candidates(design), budget)
-        with DesignStore(root) as store:
-            paper = CandidateEvaluator(store=store, fidelity=Fidelity.PAPER)
-            paper.explore(self._candidates(design), budget)
-            assert paper.stats.store_hits == 0
-            assert paper.stats.evaluated == len(self._candidates(design))
 
 
 class TestMemoBounding:

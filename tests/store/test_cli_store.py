@@ -11,7 +11,6 @@ import pytest
 
 from repro.experiments.runner import main
 from repro.fpga.flexcl import FlexCLEstimator
-from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3
 from repro.store import (
     CRASH_ENV,
@@ -28,9 +27,7 @@ _REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 def _seed_store(tmp_path, small_jacobi2d) -> str:
     """Create a CLI-layout store with one recorded entry."""
     design = make_baseline_design(small_jacobi2d, (8, 8), (2, 2), 4)
-    context = evaluation_context(
-        ADM_PCIE_7V3, Fidelity.REFINED, FlexCLEstimator()
-    )
+    context = evaluation_context(ADM_PCIE_7V3, FlexCLEstimator())
     with DesignStore(tmp_path / "store" / "results") as store:
         store.record_design(design, context, cycles=10.0)
     return str(tmp_path / "store")

@@ -14,7 +14,6 @@ import pytest
 from repro.errors import StoreError
 from repro.fpga.estimator import ResourceEstimator
 from repro.fpga.flexcl import FlexCLEstimator
-from repro.model.predictor import Fidelity
 from repro.opencl.platform import ADM_PCIE_7V3
 from repro.store import DesignStore, SNAPSHOT_NAME, evaluation_context
 from repro.tiling import make_baseline_design
@@ -32,9 +31,7 @@ def other_design(small_jacobi2d):
 
 @pytest.fixture
 def context():
-    return evaluation_context(
-        ADM_PCIE_7V3, Fidelity.REFINED, FlexCLEstimator()
-    )
+    return evaluation_context(ADM_PCIE_7V3, FlexCLEstimator())
 
 
 def _journals(root):
